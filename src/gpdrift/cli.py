@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .drift import PivotIncrementDistribution, drift_lower_bound
 from .experiments import (
@@ -199,7 +200,7 @@ def cmd_simulate(args) -> int:
     batch = _build_batch(args)
     metrics = run_batch(batch)
     write_text(args.output, trials_csv_text(metrics))
-    drift = estimate_drift(batch)
+    drift = estimate_drift(metrics, batch.steps)
     print(
         json.dumps(
             {
@@ -222,10 +223,12 @@ def cmd_check(args) -> int:
         return 3
     d, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
     bound = drift_lower_bound(b, c, d)
+    n = batch.steps
+    metrics = run_batch(replace(batch, steps=n + 1))
     reports = [
-        check_lower_tail(batch, bound.kappa),
-        check_pivot_step_probability(batch),
-        check_domination(batch, PivotIncrementDistribution(b, c, d)),
+        check_lower_tail(metrics, n, bound.kappa),
+        check_pivot_step_probability(metrics, n, stats),
+        check_domination(metrics, n, PivotIncrementDistribution(b, c, d), batch.base_seed),
     ]
     write_text(args.output, checks_csv_text(reports))
     failed = False

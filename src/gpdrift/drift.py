@@ -22,6 +22,9 @@ from random import Random
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Width in t below which golden-section search stops.
+_REFINE_TOL = 1e-9
+
 
 def _require_domain(b: int, c: int, d: int) -> None:
     if c < 1 or b < 0 or d < 1:
@@ -158,15 +161,16 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return (lo + hi) / 2.0
 
 
-def drift_lower_bound(
-    b: int, c: int, d: int, grid_points: int = 10_000, refine_tol: float = 1e-9
-) -> DriftBound:
+def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     """Maximize the rate function over the feasible window.
 
     Requires the small-cliques condition d > 3b + 2c (checked exactly), so
-    the mean increment is positive and an interior maximizer exists.  A
-    dense grid guards against surprises in the shape, then golden-section
-    search tightens the winner below ``refine_tol`` in t.
+    the mean increment is positive and an interior maximizer exists.
+    Golden-section search over the whole window finds it, because the rate
+    f(t) = h(t) / (1 + t) is unimodal: h(t) = -ln E[exp(-t U)] is concave
+    with h(0) = 0, so each set {f >= L} = {h(t) - L (1 + t) >= 0} is an
+    interval.  The -inf that ``_rate`` reports where h <= 0 keeps this, as
+    that set is an interval reaching the window's right end.
     """
     _require_domain(b, c, d)
     if d <= 3 * b + 2 * c:
@@ -175,23 +179,9 @@ def drift_lower_bound(
         )
     t_max = feasible_t_max(b, c, d)
     eps = 1e-12 * t_max
-    lo, hi = eps, t_max - eps
-
-    def f(t: float) -> float:
-        return _rate(t, b, c, d)
-
-    best_i, best_f = None, -math.inf
-    for i in range(grid_points + 1):
-        t = lo + (hi - lo) * i / grid_points
-        v = f(t)
-        if v > best_f:
-            best_i, best_f = i, v
-    assert best_i is not None and best_f > 0.0, "no feasible t despite positive mean"
-    h = (hi - lo) / grid_points
-    left = max(lo, lo + (best_i - 1) * h)
-    right = min(hi, lo + (best_i + 1) * h)
-    t_star = _golden_max(f, left, right, refine_tol)
+    t_star = _golden_max(lambda t: _rate(t, b, c, d), eps, t_max - eps, _REFINE_TOL)
     mgf_star = increment_mgf(t_star, b, c, d)
+    assert mgf_star < 1.0, "no feasible t despite positive mean"
     return DriftBound(
         kappa=-math.log(mgf_star) / (1.0 + t_star),
         t_star=t_star,

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 from random import Random
 from typing import Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
-from .graphs import Graph, cycle_graph, graph_stats
+from .graphs import Graph, GraphStats, cycle_graph, graph_stats
 from .groups import VertexGroup
 from .walk import WalkConfig, run_walk
 
@@ -51,18 +51,24 @@ class TrialBatch:
 
 @dataclass(frozen=True)
 class TrialMetrics:
+    """One walk's counts after each step.  Step k depends only on steps
+    1..k, so an (n+1)-step batch also holds the n-step walks."""
+
     trial: int
-    syllables: int
     pivotal_count: int  # strictly-before-the-horizon count
+    syllable_counts: tuple[int, ...]  # syllable length after each step
     active_counts: tuple[int, ...]  # surviving candidates after each step
+
+    @property
+    def syllables(self) -> int:
+        """Syllable length at the batch horizon."""
+        return self.syllable_counts[-1] if self.syllable_counts else 0
 
 
 @dataclass(frozen=True)
 class DriftEstimate:
     mean: float
     stderr: float | None
-    trials: int
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,8 @@ def _trial_metrics(batch: TrialBatch, trial: int) -> TrialMetrics:
     trace = run_walk(cfg)
     return TrialMetrics(
         trial=trial,
-        syllables=trace.piling_after(trace.n).syllables,
         pivotal_count=trace.strict_counts[-1] if trace.strict_counts else 0,
+        syllable_counts=tuple(p.syllables for p in trace.full),
         active_counts=tuple(trace.active_counts),
     )
 
@@ -117,7 +123,8 @@ def _worker_run(trial: int) -> TrialMetrics:
 
 
 def worker_count() -> int:
-    """Worker processes for batches, from GPDRIFT_WORKERS (default 1).
+    """Worker processes for batches, from GPDRIFT_WORKERS (default 1),
+    at most one per CPU.
 
     The count never changes results, only wall time.
     """
@@ -126,7 +133,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"GPDRIFT_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
@@ -134,7 +141,7 @@ def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
         raise ValueError("need at least one trial")
     if batch.steps < 0:
         raise ValueError("steps must be nonnegative")
-    workers = worker_count()
+    workers = min(worker_count(), batch.trials)
     if workers == 1:
         return [_trial_metrics(batch, t) for t in range(batch.trials)]
     chunk = max(1, batch.trials // (workers * 8))
@@ -142,19 +149,16 @@ def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
         return list(pool.map(_worker_run, range(batch.trials), chunksize=chunk))
 
 
-def estimate_drift(batch: TrialBatch) -> DriftEstimate:
-    """Sample mean and standard error of syllables-per-step at the horizon."""
-    if batch.steps < 1:
+def estimate_drift(metrics: Sequence[TrialMetrics], n: int) -> DriftEstimate:
+    """Sample mean and standard error of syllables-per-step after n steps."""
+    if n < 1:
         raise ValueError("drift needs at least one step")
-    metrics = run_batch(batch)
-    ratios = [m.syllables / batch.steps for m in metrics]
+    ratios = [m.syllable_counts[n - 1] / n for m in metrics]
     mean = sum(ratios) / len(ratios)
     if len(ratios) < 2:
-        return DriftEstimate(mean, None, batch.trials, batch.steps)
+        return DriftEstimate(mean, None)
     var = sum((x - mean) ** 2 for x in ratios) / (len(ratios) - 1)
-    return DriftEstimate(
-        mean, math.sqrt(var / len(ratios)), batch.trials, batch.steps
-    )
+    return DriftEstimate(mean, math.sqrt(var / len(ratios)))
 
 
 def wilson_upper(successes: int, n: int, z: float = _Z99) -> float:
@@ -168,22 +172,24 @@ def wilson_upper(successes: int, n: int, z: float = _Z99) -> float:
     return min(1.0, (centre + radius) / (1 + z2 / n))
 
 
-def check_lower_tail(batch: TrialBatch, kappa_value: float) -> CheckReport:
-    """Empirical lower-tail frequency of the syllable length against the
-    exponential bound exp(-kappa * n).
+def check_lower_tail(metrics: Sequence[TrialMetrics], n: int, kappa_value: float) -> CheckReport:
+    """Empirical lower-tail frequency of the syllable length after n steps
+    against the exponential bound exp(-kappa * n).
 
     Passes when the Wilson 99% upper limit is consistent with the bound,
     or when both the empirical frequency and the bound sit below the
     resolution 1/trials (the usual case: the bound is astronomically
     small and no trial ever lands in the tail).
     """
-    metrics = run_batch(batch)
-    cutoff = kappa_value * batch.steps
-    successes = sum(1 for m in metrics if m.syllables <= cutoff)
-    phat = successes / batch.trials
-    bound = math.exp(-kappa_value * batch.steps)
-    upper = wilson_upper(successes, batch.trials)
-    resolution = 1.0 / batch.trials
+    if n < 1:
+        raise ValueError("need at least one step")
+    trials = len(metrics)
+    cutoff = kappa_value * n
+    successes = sum(1 for m in metrics if m.syllable_counts[n - 1] <= cutoff)
+    phat = successes / trials
+    bound = math.exp(-kappa_value * n)
+    upper = wilson_upper(successes, trials)
+    resolution = 1.0 / trials
     passed = upper <= bound or (phat < resolution and bound < resolution)
     return CheckReport(
         name="lower_tail_bound",
@@ -194,10 +200,11 @@ def check_lower_tail(batch: TrialBatch, kappa_value: float) -> CheckReport:
     )
 
 
-def check_pivot_step_probability(batch: TrialBatch) -> CheckReport:
-    """Pooled frequency of a step creating a new surviving pivotal time,
-    which must be at least (d-b-c)/d up to binomial noise."""
-    stats = graph_stats(batch.graph)
+def check_pivot_step_probability(
+    metrics: Sequence[TrialMetrics], n: int, stats: GraphStats
+) -> CheckReport:
+    """Pooled frequency over steps 1..n of a step creating a new surviving
+    pivotal time, which must be at least (d-b-c)/d up to binomial noise."""
     d, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
     if d - b - c <= 0:
         return CheckReport(
@@ -208,14 +215,13 @@ def check_pivot_step_probability(batch: TrialBatch) -> CheckReport:
             skipped=True,
             detail=f"vacuous bound: d - b - c = {d - b - c} <= 0",
         )
-    if batch.steps < 1:
+    if n < 1:
         raise ValueError("need at least one step")
-    metrics = run_batch(batch)
     events = 0
     total = 0
     for m in metrics:
         prev = 0
-        for count in m.active_counts:
+        for count in m.active_counts[:n]:
             if count >= prev + 1:
                 events += 1
             total += 1
@@ -234,30 +240,25 @@ def check_pivot_step_probability(batch: TrialBatch) -> CheckReport:
 
 
 def check_domination(
-    batch: TrialBatch, dist: PivotIncrementDistribution
+    metrics: Sequence[TrialMetrics], n: int, dist: PivotIncrementDistribution, base_seed: int
 ) -> CheckReport:
-    """Marginal stochastic domination of the next pivotal count over the
-    current one plus an independent increment.
+    """Marginal stochastic domination of the pivotal count after step n+1
+    over the count after step n plus an independent increment.
 
-    Walks run one step past ``batch.steps``; the increment draws use
-    trial indices offset by the trial count so they never collide with the
-    walk streams.  Compares the two empirical upper CDFs at every observed
-    level with a 4-sigma combined allowance.
+    The walks must have at least n+1 steps.  The increment draws use the
+    batch's ``base_seed`` with trial indices offset by the trial count, so
+    they never collide with the walk streams.  Compares the two empirical
+    upper CDFs at every observed level with a 4-sigma combined allowance.
     """
-    n = batch.steps
     if n < 0:
         raise ValueError("steps must be nonnegative")
-    metrics = run_batch(replace(batch, steps=n + 1))
-    a_now = []
-    a_next = []
-    for m in metrics:
-        a_now.append(m.active_counts[n - 1] if n >= 1 else 0)
-        a_next.append(m.active_counts[n])
+    trials = len(metrics)
+    a_next = [m.active_counts[n] for m in metrics]
     plus_u = []
     for m in metrics:
-        rng = Random(derive_seed(batch.base_seed, batch.trials + m.trial))
-        plus_u.append((a_now[m.trial]) + dist.sample(rng))
-    trials = batch.trials
+        a_now = m.active_counts[n - 1] if n >= 1 else 0
+        rng = Random(derive_seed(base_seed, trials + m.trial))
+        plus_u.append(a_now + dist.sample(rng))
     lo = min(min(a_next), min(plus_u))
     hi = max(max(a_next), max(plus_u))
     worst = math.inf
@@ -281,7 +282,7 @@ def check_domination(
     )
 
 
-def sweep_cycles(d_values: Sequence[int], grid_points: int = 10_000) -> list[SweepRow]:
+def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
     """One bound per cycle length; non-qualifying lengths get nan markers.
 
     Clique statistics are recomputed from the actual cycle rather than
@@ -293,7 +294,7 @@ def sweep_cycles(d_values: Sequence[int], grid_points: int = 10_000) -> list[Swe
         dd, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
         mean_inc = float(increment_mean(b, c, dd)) if dd > 2 * b + c else None
         if stats.small_cliques:
-            bound = drift_lower_bound(b, c, dd, grid_points=grid_points)
+            bound = drift_lower_bound(b, c, dd)
             rows.append(
                 SweepRow(dd, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star)
             )

@@ -86,9 +86,10 @@ def make_graph(labels: Iterable[str], edges: Iterable) -> Graph:
     for e in edges:
         try:
             i, j = e
-            i, j = int(i), int(j)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed edge {e!r}: expected a pair of vertex indices") from exc
+        if type(i) is not int or type(j) is not int:  # bools are rejected too
+            raise ValueError(f"malformed edge {e!r}: vertex indices must be integers")
         if not (0 <= i < d and 0 <= j < d):
             raise ValueError(f"edge {(i, j)} references a vertex outside 0..{d - 1}")
         if i == j:
@@ -121,9 +122,12 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
             raise ValueError('graph JSON must be an object with "vertices" and "edges"')
-        if not isinstance(doc["vertices"], list) or not doc["vertices"]:
-            raise ValueError('"vertices" must be a non-empty list of labels')
-        return make_graph(doc["vertices"], doc["edges"])
+        vertices, edges = doc["vertices"], doc["edges"]
+        if not (isinstance(vertices, list) and vertices and all(isinstance(x, str) for x in vertices)):
+            raise ValueError('"vertices" must be a non-empty list of string labels')
+        if not isinstance(edges, list):
+            raise ValueError('"edges" must be a list of vertex index pairs')
+        return make_graph(vertices, edges)
 
     edges = []
     top = -1

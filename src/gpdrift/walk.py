@@ -16,7 +16,10 @@ inspects only the most recent anchor until one survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from random import Random
 from typing import Sequence
 
@@ -35,6 +38,10 @@ from .piling import (
 )
 
 MuLetter = tuple[int, object]  # (vertex, nontrivial element)
+
+# A Pareto draw can reach 2**(53/alpha), and its exact integer costs time
+# and memory that grow with that size, so smaller exponents are refused.
+_MIN_ALPHA = 0.01
 
 
 def sample_mu(graph: Graph, groups: Sequence[VertexGroup], rng: Random) -> MuLetter:
@@ -81,19 +88,30 @@ class ParetoLetter:
     """
 
     def __init__(self, alpha: float, vertex: int | None = None):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(alpha) and alpha >= _MIN_ALPHA):
+            raise ValueError(f"alpha must be a finite number of at least {_MIN_ALPHA}, got {alpha!r}")
         self.alpha = alpha
         self.vertex = vertex
+
+    def magnitude(self, u: float) -> int:
+        """floor(u ** (-1/alpha)) for u in (0, 1]: in floats while the power
+        fits in one; past that exactly for a whole 1/alpha, and otherwise in
+        decimal arithmetic carried 30 digits past the integer part."""
+        e = 1.0 / self.alpha
+        try:
+            return int(u ** -e)
+        except OverflowError:
+            if e.is_integer():
+                return math.floor(Fraction(u) ** -int(e))
+            with localcontext() as ctx:
+                ctx.prec = int(e * -math.log10(u)) + 30
+                return int(Decimal(u) ** Decimal(-e))
 
     def sample(self, rng: Random, graph: Graph, groups: Sequence[VertexGroup]) -> Word:
         v = self.vertex if self.vertex is not None else rng.randrange(graph.vertex_count)
         group = groups[v]
         while True:
-            u = 1.0 - rng.random()  # in (0, 1]
-            magnitude = int(u ** (-1.0 / self.alpha))
-            if magnitude < 1:
-                magnitude = 1
+            magnitude = self.magnitude(1.0 - rng.random())  # u in (0, 1]
             sign = 1 if rng.random() < 0.5 else -1
             value = group.from_int(sign * magnitude)
             if not group.is_identity(value):

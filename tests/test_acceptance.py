@@ -21,6 +21,7 @@ from gpdrift.experiments import (
     check_pivot_step_probability,
     check_lower_tail,
     log_spaced_ints,
+    run_batch,
     sweep_cycles,
 )
 from gpdrift.graphs import cycle_graph, graph_stats, make_graph
@@ -254,11 +255,12 @@ def test_criterion_6_step_bound_and_domination():
     t0 = time.perf_counter()
     graph = cycle_graph(50)
     groups = uniform_groups(50)
-    batch = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=50, trials=10_000, base_seed=606)
-    step = check_pivot_step_probability(batch)
+    batch = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=51, trials=10_000, base_seed=606)
+    metrics = run_batch(batch)
+    step = check_pivot_step_probability(metrics, 50, graph_stats(graph))
     assert not step.skipped and step.passed
     assert step.threshold == pytest.approx(44 / 50, abs=0.01)
-    dom = check_domination(batch, PivotIncrementDistribution(4, 2, 50))
+    dom = check_domination(metrics, 50, PivotIncrementDistribution(4, 2, 50), batch.base_seed)
     assert dom.passed, dom
     report(6, "step probability >= 44/50 - 4 sigma and domination at all levels", time.perf_counter() - t0, budget=300.0)
 
@@ -313,7 +315,7 @@ def test_criterion_9_lower_tail_bound_end_to_end():
     bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     for nu in (FixedWord(((0, 1),)), ParetoLetter(1.1)):
         batch = TrialBatch(graph, groups, nu, steps=200, trials=10_000, base_seed=909)
-        rep = check_lower_tail(batch, bound.kappa)
+        rep = check_lower_tail(run_batch(batch), batch.steps, bound.kappa)
         assert rep.passed, rep
         assert "successes=0" in rep.detail  # the tail event never happened
         assert rep.threshold == pytest.approx(math.exp(-bound.kappa * 200))

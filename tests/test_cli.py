@@ -221,3 +221,64 @@ def test_sweep_determinism(tmp_path, capsys):
     run_cli(capsys, "sweep", "--D-list", "17,40,90", "--output", str(p1))
     run_cli(capsys, "sweep", "--D-list", "17,40,90", "--output", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_simulate_and_check_run_one_batch(tmp_path, capsys, monkeypatch):
+    import gpdrift.cli as cli
+    import gpdrift.experiments as experiments
+
+    calls = {"run_batch": [], "graph_stats": 0}
+    real_run_batch, real_graph_stats = experiments.run_batch, experiments.graph_stats
+
+    def run_batch(batch):
+        calls["run_batch"].append(batch.steps)
+        return real_run_batch(batch)
+
+    def graph_stats(graph):
+        calls["graph_stats"] += 1
+        return real_graph_stats(graph)
+
+    monkeypatch.setattr(cli, "run_batch", run_batch)
+    monkeypatch.setattr(cli, "graph_stats", graph_stats)
+    monkeypatch.setattr(experiments, "run_batch", run_batch)
+    monkeypatch.setattr(experiments, "graph_stats", graph_stats)
+    walk = ["--family", "cycle", "--D", "17", "--n", "8", "--trials", "20"]
+    code, _, _ = run_cli(capsys, "simulate", *walk, "--output", str(tmp_path / "t.csv"))
+    assert code == 0 and calls == {"run_batch": [8], "graph_stats": 0}
+    calls["run_batch"].clear()
+    code, _, _ = run_cli(capsys, "check", *walk, "--output", str(tmp_path / "c.csv"))
+    assert code == 0 and calls == {"run_batch": [9], "graph_stats": 1}
+
+
+def test_simulate_pareto_draws_past_the_float_range(tmp_path, capsys):
+    # seeds 1 to 3 draw magnitudes above 2**1024 at alpha = 0.01
+    for seed in ("1", "2", "3"):
+        path = tmp_path / f"p{seed}.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "cycle", "--D", "50", "--n", "12",
+            "--trials", "70", "--nu", "pareto:0.01", "--seed", seed, "--output", str(path),
+        )
+        assert code == 0, err
+        assert json.loads(out)["trials"] == 70
+        assert len(path.read_text().strip().split("\n")) == 71
+
+
+def test_pareto_alpha_must_be_finite(capsys):
+    for alpha in ("nan", "inf", "-inf", "0.001"):
+        code, _, err = run_cli(
+            capsys, "simulate", "--family", "cycle", "--D", "17", "--nu", f"pareto:{alpha}"
+        )
+        assert code == 2 and "alpha must be a finite number" in err
+
+
+def test_graph_json_field_types_exit_2(tmp_path, capsys):
+    for i, doc in enumerate([
+        {"vertices": ["a", "b"], "edges": 5},
+        {"vertices": ["a", "b"], "edges": [[0, 1.5]]},
+        {"vertices": ["a", "b"], "edges": [[True, 1]]},
+        {"vertices": [1, 2], "edges": []},
+    ]):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "stats", "--graph", str(path))
+        assert code == 2 and err.startswith("error: "), (doc, err)

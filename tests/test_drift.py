@@ -245,3 +245,36 @@ def test_bound_dataclass_fields():
     bound = drift_lower_bound(4, 2, 17)
     assert isinstance(bound, DriftBound)
     assert bound.mean_increment == pytest.approx(11 / 119)
+
+
+def _dense_grid_kappa(b, c, d, points=2000, zooms=4):
+    """Maximum of the rate by grid scans, each zooming in on the best cell."""
+    t_max = feasible_t_max(b, c, d)
+    lo, hi = 1e-12 * t_max, t_max * (1 - 1e-12)
+
+    def rate(t):
+        m = increment_mgf(t, b, c, d)
+        return -math.log(m) / (1 + t) if m < 1 else -math.inf
+
+    best = -math.inf
+    for _ in range(zooms):
+        h = (hi - lo) / points
+        i, best = max(((i, rate(lo + i * h)) for i in range(points + 1)), key=lambda p: p[1])
+        lo, hi = max(lo, lo + (i - 1) * h), min(hi, lo + (i + 1) * h)
+    return best
+
+
+@pytest.mark.parametrize(
+    "b,c,d",
+    [(0, 1, 3), (0, 2, 5), (0, 1, 12000), (1, 1, 6), (4, 2, 17), (4, 2, 100),
+     (3, 1, 150), (6, 6, 31), (4, 2, 12000), (20, 5, 12000)],
+)
+def test_kappa_is_golden_section_alone_and_matches_dense_grid(monkeypatch, b, c, d):
+    import gpdrift.drift as drift
+
+    calls = []
+    rate = drift._rate
+    monkeypatch.setattr(drift, "_rate", lambda *args: calls.append(args) or rate(*args))
+    bound = drift_lower_bound(b, c, d)
+    assert len(calls) < 100
+    assert bound.kappa == pytest.approx(_dense_grid_kappa(b, c, d), rel=1e-12)

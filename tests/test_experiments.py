@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -18,12 +19,15 @@ from gpdrift.experiments import (
     trials_csv_text,
     wilson_upper,
 )
-from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph
-from gpdrift.groups import uniform_groups
-from gpdrift.walk import FixedWord, WalkTrace
+import gpdrift.experiments as experiments
+from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats
+from gpdrift.groups import groups_from_spec, uniform_groups
+from gpdrift.piling import render
+from gpdrift.walk import FixedWord, ParetoLetter, WalkConfig, WalkTrace, WordChoice, run_walk
 
 C17 = cycle_graph(17)
 Z17 = uniform_groups(17)
+STATS17 = graph_stats(C17)
 
 
 def batch17(steps=20, trials=500, seed=7, nu=None):
@@ -57,6 +61,57 @@ def test_run_batch_worker_count_is_invisible(monkeypatch):
     assert trials_csv_text(run_batch(b)) == serial
 
 
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # only the count is read: no process is started here
+    monkeypatch.setenv("GPDRIFT_WORKERS", "100000")
+    assert experiments.worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "0")
+    assert experiments.worker_count() == 1
+
+
+def test_run_batch_starts_no_pool_for_one_trial(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single trial needs no worker pool")
+
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+    monkeypatch.setattr(experiments, "Pool", no_pool)
+    assert len(run_batch(batch17(steps=3, trials=1))) == 1
+
+
+MIXED17 = groups_from_spec(",".join(["z", "zmod:2", "zmod:3"] * 5 + ["z", "zmod:2"]), 17)
+
+
+def _word(*letters):
+    return tuple((v, MIXED17[v].from_int(k)) for v, k in letters)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        FixedWord(_word((0, 1))),
+        ParetoLetter(1.1),
+        WordChoice([_word((0, 1), (5, 2)), _word((3, -1)), _word((2, 1), (9, 1), (2, -1))]),
+    ],
+    ids=["fixed", "pareto", "list"],
+)
+def test_walk_prefix_is_the_shorter_walk(nu):
+    # one batch of n+1 steps serves the n-step checks only because of this
+    for trial in range(40):
+        seed = derive_seed(31, trial)
+        short = run_walk(WalkConfig(C17, MIXED17, nu, 30, seed))
+        long = run_walk(WalkConfig(C17, MIXED17, nu, 31, seed))
+        assert long.active_counts[:30] == short.active_counts
+        assert long.strict_counts[:30] == short.strict_counts
+        assert [p.syllables for p in long.full[:30]] == [p.syllables for p in short.full]
+        assert render(long.full[29], C17.labels) == render(short.full[29], C17.labels)
+
+
+def test_batch_metrics_record_every_step():
+    for m in run_batch(batch17(steps=12, trials=20)):
+        assert len(m.syllable_counts) == len(m.active_counts) == 12
+        assert m.syllables == m.syllable_counts[-1]
+
+
 def test_run_batch_validation():
     with pytest.raises(ValueError):
         run_batch(batch17(trials=0))
@@ -65,7 +120,7 @@ def test_run_batch_validation():
 
 
 def test_estimate_drift_single_trial():
-    est = estimate_drift(batch17(steps=10, trials=1))
+    est = estimate_drift(run_batch(batch17(steps=10, trials=1)), 10)
     assert est.stderr is None
     assert est.mean > 0
 
@@ -76,7 +131,7 @@ def test_estimate_drift_edgeless_is_near_two():
     graph = edgeless_graph(12)
     groups = uniform_groups(12)
     b = TrialBatch(graph, groups, FixedWord(((11, 1),)), steps=60, trials=400, base_seed=5)
-    est = estimate_drift(b)
+    est = estimate_drift(run_batch(b), b.steps)
     assert 1.6 < est.mean <= 2.0
 
 
@@ -84,7 +139,7 @@ def test_empirical_drift_exceeds_bound():
     graph = cycle_graph(50)
     groups = uniform_groups(50)
     b = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=100, trials=500, base_seed=9)
-    est = estimate_drift(b)
+    est = estimate_drift(run_batch(b), b.steps)
     kappa = drift_lower_bound(4, 2, 50).kappa
     assert est.mean - 4 * est.stderr > kappa
 
@@ -107,7 +162,7 @@ def test_wilson_upper_monotone_and_bounded():
 
 def test_check_lower_tail_passes_and_reports():
     bound = drift_lower_bound(4, 2, 17)
-    rep = check_lower_tail(batch17(steps=60, trials=400), bound.kappa)
+    rep = check_lower_tail(run_batch(batch17(steps=60, trials=400)), 60, bound.kappa)
     assert rep.passed
     assert rep.threshold == pytest.approx(math.exp(-bound.kappa * 60))
     assert rep.statistic < rep.threshold
@@ -115,12 +170,12 @@ def test_check_lower_tail_passes_and_reports():
 
 def test_check_lower_tail_one_step():
     bound = drift_lower_bound(4, 2, 17)
-    rep = check_lower_tail(batch17(steps=1, trials=400), bound.kappa)
+    rep = check_lower_tail(run_batch(batch17(steps=1, trials=400)), 1, bound.kappa)
     assert rep.passed
 
 
 def test_check_pivot_step_probability_cycle():
-    rep = check_pivot_step_probability(batch17(steps=20, trials=1500))
+    rep = check_pivot_step_probability(run_batch(batch17(steps=20, trials=1500)), 20, STATS17)
     assert rep.passed and not rep.skipped
     assert rep.threshold == pytest.approx(11 / 17, abs=0.05)
 
@@ -129,7 +184,7 @@ def test_check_pivot_step_probability_skips_vacuous():
     graph = complete_graph(4)
     groups = uniform_groups(4)
     b = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=5, trials=10, base_seed=1)
-    rep = check_pivot_step_probability(b)
+    rep = check_pivot_step_probability(run_batch(b), b.steps, graph_stats(graph))
     assert rep.skipped and rep.passed
 
 
@@ -154,14 +209,14 @@ def test_check_pivot_step_probability_edgeless_exhaustive_oracle():
     # stats of the edgeless graph give b=1, c=1: bound (d-b-c)/d = 1/3
     assert exact >= 1 / 3
     b = TrialBatch(graph, groups, FixedWord(nu_word), steps=2, trials=4000, base_seed=11)
-    rep = check_pivot_step_probability(b)
+    rep = check_pivot_step_probability(run_batch(b), b.steps, graph_stats(graph))
     assert rep.passed
     assert abs(exact - rep.statistic) < 0.05
 
 
 def test_check_domination_true_distribution_passes():
     rep = check_domination(
-        batch17(steps=10, trials=4000), PivotIncrementDistribution(4, 2, 17)
+        run_batch(batch17(steps=11, trials=4000)), 10, PivotIncrementDistribution(4, 2, 17), 7
     )
     assert rep.passed
     assert rep.statistic >= 0.0
@@ -172,7 +227,7 @@ def test_check_domination_detects_inflated_distribution():
     # break domination; fattening the negative tail would only make the
     # dominated side easier to beat
     rep = check_domination(
-        batch17(steps=10, trials=20_000), PivotIncrementDistribution(0, 1, 10**6)
+        run_batch(batch17(steps=11, trials=20_000)), 10, PivotIncrementDistribution(0, 1, 10**6), 7
     )
     assert not rep.passed
     assert rep.statistic < 0
@@ -215,7 +270,7 @@ def test_trials_csv_format():
 
 def test_checks_csv_format():
     reports = [
-        check_pivot_step_probability(batch17(steps=5, trials=200)),
+        check_pivot_step_probability(run_batch(batch17(steps=5, trials=200)), 5, STATS17),
     ]
     text = checks_csv_text(reports)
     lines = text.strip().split("\n")
@@ -246,5 +301,5 @@ def test_kappa_depends_only_on_graph_constants():
 
     bound = drift_lower_bound(4, 2, 17)
     for nu in [FixedWord(((3, 5),)), WordChoice([((0, 1), (2, 1))]), ParetoLetter(1.1)]:
-        rep = check_lower_tail(batch17(steps=40, trials=300, nu=nu), bound.kappa)
+        rep = check_lower_tail(run_batch(batch17(steps=40, trials=300, nu=nu)), 40, bound.kappa)
         assert rep.passed

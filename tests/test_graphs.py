@@ -54,6 +54,22 @@ def test_parse_garbage_rejected():
         parse_graph('{"vertices": ["a", "b"]}')
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": ["a", "b"], "edges": 5}, '"edges" must be a list'),
+        ({"vertices": ["a", "b"], "edges": [[0, 1.5]]}, "must be integers"),
+        ({"vertices": ["a", "b"], "edges": [[0, "1"]]}, "must be integers"),
+        ({"vertices": ["a", "b"], "edges": [[True, 1]]}, "must be integers"),
+        ({"vertices": ["a", "b"], "edges": [[0, 1, 1]]}, "pair of vertex indices"),
+        ({"vertices": ["a", 2], "edges": []}, "string labels"),
+    ],
+)
+def test_parse_json_field_types_rejected(doc, message):
+    with pytest.raises(ValueError, match=message):
+        parse_graph(json.dumps(doc))
+
+
 def test_duplicate_edge_warns_and_dedups():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

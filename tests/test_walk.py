@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -346,3 +347,47 @@ def test_debug_json_shape():
     assert len(doc["steps"]) == 3
     assert set(doc["steps"][0]) == {"s", "w", "half", "full"}
     assert doc["pivotal_times"] == list(trace.pivotal_times())
+
+
+def _floor_power_reference(u, alpha):
+    """floor(u ** (-1/alpha)): floats where they suffice, else exact."""
+    try:
+        return int(u ** (-1.0 / alpha))
+    except OverflowError:
+        return math.floor(Fraction(u) ** int(-1.0 / alpha))
+
+
+def test_pareto_letter_draws_past_the_float_range():
+    # at alpha = 0.01 a draw overflows a float for u < 8.3e-4; 5000 draws
+    # include some, and every magnitude must be the exact floor
+    graph = cycle_graph(5)
+    groups = uniform_groups(5)
+    rng, replay = Random(77), Random(77)
+    nu = ParetoLetter(0.01)
+    huge = 0
+    for _ in range(5000):
+        ((v, val),) = nu.sample(rng, graph, groups)
+        assert v == replay.randrange(5)
+        u = 1.0 - replay.random()
+        sign = 1 if replay.random() < 0.5 else -1
+        assert val == sign * _floor_power_reference(u, 0.01)
+        huge += abs(val) >= 2**1024
+    assert huge >= 1
+
+
+def test_pareto_magnitude_non_whole_exponent():
+    # 1/alpha = 81/2, so the exact floor is isqrt(floor(u ** -81))
+    alpha = 1 / 40.5
+    assert 1.0 / alpha == 40.5
+    nu = ParetoLetter(alpha)
+    for u in (2.0**-53, 1e-12, 5e-10, 2e-8):
+        with pytest.raises(OverflowError):
+            u ** -40.5
+        assert nu.magnitude(u) == math.isqrt(math.floor(Fraction(u) ** -81))
+    assert nu.magnitude(0.5) == int(0.5 ** -40.5)
+
+
+def test_pareto_alpha_must_be_finite_and_not_tiny():
+    for alpha in (math.nan, math.inf, -1.0, 0.0, 0.005):
+        with pytest.raises(ValueError, match="finite number of at least"):
+            ParetoLetter(alpha)
