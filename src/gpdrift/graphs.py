@@ -45,14 +45,15 @@ class Graph:
         """Per vertex: the other vertices it does not commute past.
 
         Lazy because it is quadratic in the vertex count; only walk and
-        piling construction need it, clique statistics do not.
+        piling construction need it, clique statistics do not.  Every row
+        draws its indices from one tuple, so the rows share int objects
+        instead of each holding its own copies of those above 256.
         """
-        d = self.vertex_count
-        out = []
-        for i in range(d):
-            nbrs = self.neighbors[i]
-            out.append(tuple(j for j in range(d) if j != i and j not in nbrs))
-        return tuple(out)
+        indices = tuple(range(self.vertex_count))
+        return tuple(
+            tuple(j for j in indices if j != i and j not in nbrs)
+            for i, nbrs in enumerate(self.neighbors)
+        )
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbors[i]

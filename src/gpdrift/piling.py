@@ -12,8 +12,11 @@ of the group element.
 Representation: strings are persistent stacks with one node per
 nontrivial letter; the zero markers between elements are stored as
 run-length counts on the nodes, and the trailing run of each string is
-kept on the piling itself.  Appends are O(1) per affected string, and the
-walk machinery can hold thousands of snapshots that share structure.
+kept on the piling itself.  There is no cache of leading runs: the rare
+reader that needs one (``init``, one branch of ``is_prefix``) walks down
+to the bottom node of the string.  Appends are O(1) per affected string,
+and the walk machinery can hold thousands of snapshots that share
+structure.
 ``string()`` materializes the conventional letter sequence (``None`` is
 the zero marker, ``(vertex, value)`` a nontrivial letter) for rendering,
 linearization, and invariant checks.
@@ -55,6 +58,13 @@ def _replace(items: tuple, index: int, value) -> tuple:
     return items[:index] + (value,) + items[index + 1 :]
 
 
+def _bottom(entry: _Entry) -> _Entry:
+    # The first letter of a string; its zeros_before is the leading run.
+    while entry.parent is not None:
+        entry = entry.parent
+    return entry
+
+
 def _stack_equal(a: _Entry | None, b: _Entry | None) -> bool:
     # Structural equality with an identity fast path: snapshots from one
     # walk share tails, so the loop usually exits on ``a is b`` immediately.
@@ -71,18 +81,13 @@ def _stack_equal(a: _Entry | None, b: _Entry | None) -> bool:
 class Piling:
     """Immutable normal form for a graph-product element."""
 
-    __slots__ = ("_tops", "_tails", "_heads", "_syllables")
+    __slots__ = ("_tops", "_tails", "_syllables")
 
     def __init__(
-        self,
-        tops: tuple[_Entry | None, ...],
-        tails: tuple[int, ...],
-        heads: tuple[int | None, ...],
-        syllables: int,
+        self, tops: tuple[_Entry | None, ...], tails: tuple[int, ...], syllables: int
     ):
         self._tops = tops
         self._tails = tails
-        self._heads = heads
         self._syllables = syllables
 
     @property
@@ -92,9 +97,6 @@ class Piling:
     @property
     def syllables(self) -> int:
         return self._syllables
-
-    def is_empty(self) -> bool:
-        return self._syllables == 0 and not any(self._tails)
 
     def string(self, i: int) -> tuple[Letter, ...]:
         """Materialize string ``i`` as explicit letters."""
@@ -116,17 +118,10 @@ class Piling:
     def ends_nontrivial(self, i: int) -> bool:
         return self._tops[i] is not None and self._tails[i] == 0
 
-    def starts_nontrivial(self, i: int) -> bool:
-        return self._heads[i] == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Piling):
             return NotImplemented
-        if (
-            self._syllables != other._syllables
-            or self._tails != other._tails
-            or self._heads != other._heads
-        ):
+        if self._syllables != other._syllables or self._tails != other._tails:
             return False
         for a, b in zip(self._tops, other._tops):
             if (a is None) != (b is None):
@@ -144,7 +139,7 @@ class Piling:
 def empty_piling(d: int) -> Piling:
     if d < 1:
         raise ValueError("a piling needs at least one string")
-    return Piling((None,) * d, (0,) * d, (None,) * d, 0)
+    return Piling((None,) * d, (0,) * d, 0)
 
 
 def append(
@@ -161,9 +156,7 @@ def append(
         if group.is_identity(merged):
             return _cancel(p, vertex, graph, top)
         new_top = _Entry(merged, top.zeros_before, top.depth, top.parent)
-        return Piling(
-            _replace(p._tops, vertex, new_top), p._tails, p._heads, p._syllables
-        )
+        return Piling(_replace(p._tops, vertex, new_top), p._tails, p._syllables)
     # Fresh letter: it closes the zero run on its own string and drops a
     # zero marker on every non-adjacent string.
     entry = _Entry(value, p._tails[vertex], (top.depth + 1) if top else 1, top)
@@ -171,8 +164,7 @@ def append(
     for j in graph.nonneighbors[vertex]:
         tails[j] += 1
     tails[vertex] = 0
-    heads = p._heads if top is not None else _replace(p._heads, vertex, p._tails[vertex])
-    return Piling(_replace(p._tops, vertex, entry), tuple(tails), heads, p._syllables + 1)
+    return Piling(_replace(p._tops, vertex, entry), tuple(tails), p._syllables + 1)
 
 
 def _cancel(p: Piling, vertex: int, graph: Graph, top: _Entry) -> Piling:
@@ -184,11 +176,7 @@ def _cancel(p: Piling, vertex: int, graph: Graph, top: _Entry) -> Piling:
             )
         tails[j] -= 1
     tails[vertex] = top.zeros_before
-    parent = top.parent
-    heads = p._heads if parent is not None else _replace(p._heads, vertex, None)
-    return Piling(
-        _replace(p._tops, vertex, parent), tuple(tails), heads, p._syllables - 1
-    )
+    return Piling(_replace(p._tops, vertex, top.parent), tuple(tails), p._syllables - 1)
 
 
 def piling_of_word(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> Piling:
@@ -208,7 +196,11 @@ def term(p: Piling) -> frozenset[int]:
 
 def init(p: Piling) -> frozenset[int]:
     """Vertices whose string starts with a nontrivial element (a clique)."""
-    return frozenset(i for i, h in enumerate(p._heads) if h == 0)
+    return frozenset(
+        i
+        for i, top in enumerate(p._tops)
+        if top is not None and _bottom(top).zeros_before == 0
+    )
 
 
 def syllable_length(p: Piling) -> int:
@@ -248,10 +240,7 @@ def is_prefix(p: Piling, q: Piling) -> bool:
     """
     if p.d != q.d:
         raise ValueError("pilings have different string counts")
-    q_heads = q._heads
-    i = -1
     for a, pz, b, qz in zip(p._tops, p._tails, q._tops, q._tails):
-        i += 1
         if a is b:
             # same top node (or both all-zero): only the tail run matters
             if pz > qz:
@@ -260,7 +249,7 @@ def is_prefix(p: Piling, q: Piling) -> bool:
         if a is None:
             if pz == 0:
                 continue
-            lead = q_heads[i] if b is not None else qz
+            lead = _bottom(b).zeros_before if b is not None else qz
             if pz > lead:
                 return False
             continue
@@ -318,7 +307,6 @@ def from_strings(strings: Sequence[Iterable[Letter]]) -> Piling:
         raise ValueError("a piling needs at least one string")
     tops: list[_Entry | None] = [None] * d
     tails = [0] * d
-    heads: list[int | None] = [None] * d
     syllables = 0
     for i, letters in enumerate(strings):
         run = 0
@@ -333,13 +321,11 @@ def from_strings(strings: Sequence[Iterable[Letter]]) -> Piling:
                 raise ValueError(
                     f"string {i} has two adjacent elements; they should have merged"
                 )
-            if tops[i] is None:
-                heads[i] = run
             tops[i] = _Entry(value, run, (tops[i].depth + 1) if tops[i] else 1, tops[i])
             syllables += 1
             run = 0
         tails[i] = run
-    return Piling(tuple(tops), tuple(tails), tuple(heads), syllables)
+    return Piling(tuple(tops), tuple(tails), syllables)
 
 
 def validate(p: Piling, graph: Graph) -> None:

@@ -5,10 +5,18 @@ over the vertex groups and a word w_k from an arbitrary sampler that never
 produces the identity.  After each half step (s appended) and each full
 step (w folded in) the trace records the piling, and maintains the stack
 of candidate pivotal times: a time k stays on the stack while its
-half-step piling remains a prefix of every later recorded piling; it was
-pushed only if the local geodesic condition held at k.  A time that falls
-off the stack never returns, because the prefix requirement quantifies
-over all intermediate pilings.
+half-step piling remains a prefix of every later recorded piling.  A time
+that falls off the stack never returns, because the prefix requirement
+quantifies over all intermediate pilings.
+
+Time k is pushed when s_k leaves the terminal clique of the previous
+piling; the other half of the local geodesic condition, that the initial
+clique of w_k misses the terminal clique of the half step, is left to
+the prefix check against the full step.  That check is exact: when
+term(half) misses init(w) the piling of half·w is each string of half
+followed by the same string of w, so half is a prefix; otherwise a letter
+of w meets a terminal letter of half and merges with it or cancels it, so
+half is not.
 
 Anchors on the stack are nested (each is a prefix of the next), so pruning
 inspects only the most recent anchor until one survives.
@@ -191,21 +199,20 @@ class WalkTrace:
         w = tuple(w)
         if not w:
             raise ValueError("nu sampler produced an empty word")
-        w_piling = piling_of_word(w, self.graph, self.groups)
-        if w_piling.syllables == 0:
-            raise ValueError("nu sampler produced a word equal to the identity")
         k = self.n + 1
         f_prev = self.piling_after(k - 1)
         vertex, value = s
         half = append(f_prev, vertex, value, self.graph, self.groups)
-        self._prune(half)
-        if not f_prev.ends_nontrivial(vertex) and not any(
-            half.ends_nontrivial(u) for u in init(w_piling)
-        ):
-            self.stack.append(_Candidate(k, half))
         full = half
         for wv, wval in w:
             full = append(full, wv, wval, self.graph, self.groups)
+        if full.syllables == half.syllables and full == half:
+            raise ValueError("nu sampler produced a word equal to the identity")
+        self._prune(half)
+        # Push k when s leaves the terminal clique; the prefix check against
+        # the full step then pops it exactly when w eats s (module docstring).
+        if not f_prev.ends_nontrivial(vertex):
+            self.stack.append(_Candidate(k, half))
         self._prune(full)
         self.s_letters.append(s)
         self.nu_words.append(w)
@@ -280,13 +287,7 @@ def is_strong_pivot_choice(
     """Stronger than local geodesic: the vertex also avoids the closed
     neighbourhood of the word's initial clique, so swapping it in cannot
     disturb any other pivotal time."""
-    vertex, _ = s
-    if f_prev.ends_nontrivial(vertex):
-        return False
-    w_init = init(piling_of_word(w, graph, groups))
-    if vertex in w_init:
-        return False
-    return not any(vertex in graph.neighbors[u] for u in w_init)
+    return s[0] in strong_choice_vertices(f_prev, w, graph, groups)
 
 
 def strong_choice_vertices(

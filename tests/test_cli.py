@@ -135,6 +135,27 @@ def test_nu_identity_letter_rejected(capsys):
     assert code == 2 and "identity" in err
 
 
+def test_nu_identity_word_rejected_whatever_the_seed(tmp_path, capsys):
+    # the identity word is refused while parsing, not only when a seed draws it
+    words = tmp_path / "words.txt"
+    words.write_text("v1^1,v1^-1\nv0^1\n")
+    for seed in range(1, 6):
+        code, _, err = run_cli(
+            capsys,
+            "simulate",
+            "--family", "cycle", "--D", "17",
+            "--nu", f"list:{words}",
+            "--n", "1", "--trials", "1", "--seed", str(seed),
+            "--output", str(tmp_path / "t.csv"),
+        )
+        assert code == 2 and "identity" in err
+    # v0 and v1 commute on the cycle, so this fixed word is the identity too
+    code, _, err = run_cli(
+        capsys, "simulate", "--family", "cycle", "--D", "6", "--nu", "fixed:v0^2,v1^1,v0^-2,v1^-1"
+    )
+    assert code == 2 and "identity" in err
+
+
 def test_nu_unknown_label_rejected(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--family", "cycle", "--D", "6", "--nu", "fixed:z^1"

@@ -167,3 +167,10 @@ def test_single_vertex():
         1,
         False,
     )
+
+
+def test_nonneighbors_rows_share_index_objects():
+    # one int object per vertex index, however many rows hold it
+    g = cycle_graph(600)
+    assert len({id(j) for row in g.nonneighbors for j in row}) <= g.vertex_count
+    assert g.nonneighbors[0] == tuple(range(2, 599))

@@ -1,0 +1,107 @@
+"""Property tests for the pivotal stack, over random graphs, mixed groups
+and multi-letter words.
+
+Settings are fixed and derandomized so every run draws the same examples,
+and no example database is written.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gpdrift.graphs import make_graph
+from gpdrift.groups import CyclicGroup, IntegerGroup
+from gpdrift.piling import append, init, is_prefix, piling_of_word
+from gpdrift.walk import WalkTrace, pivotal_times_bruteforce
+
+PROPERTY_SETTINGS = dict(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    # timing-based checks would make a slow or busy machine fail the run
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+GROUP_CHOICES = (IntegerGroup(), CyclicGroup(2), CyclicGroup(3))
+
+
+@st.composite
+def graphs_and_groups(draw):
+    d = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    graph = make_graph([f"v{i}" for i in range(d)], edges)
+    groups = tuple(draw(st.sampled_from(GROUP_CHOICES)) for _ in range(d))
+    return graph, groups
+
+
+def letters(graph, groups):
+    """Nontrivial letters: a vertex and a small exponent in its group."""
+    return st.tuples(
+        st.integers(0, graph.vertex_count - 1), st.sampled_from((-2, -1, 1, 2, 3))
+    ).map(lambda vk: (vk[0], groups[vk[0]].from_int(vk[1]))).filter(
+        lambda letter: not groups[letter[0]].is_identity(letter[1])
+    )
+
+
+def inverse(word, groups):
+    return [(v, groups[v].invert(x)) for v, x in reversed(word)]
+
+
+def words(draw, graph, groups, before):
+    """Up to 7 letters; sometimes u⁻¹·u·x, where u is drawn fresh or is the
+    tail of the letters ``before`` it, so the word destroys letters it
+    then rebuilds."""
+    letter = letters(graph, groups)
+    if draw(st.booleans()):
+        return draw(st.lists(letter, min_size=1, max_size=7))
+    if before and draw(st.booleans()):
+        u = before[-draw(st.integers(1, min(3, len(before)))):]
+    else:
+        u = draw(st.lists(letter, min_size=1, max_size=3))
+    return inverse(u, groups) + u + [draw(letter)]
+
+
+@st.composite
+def steps_on_a_graph(draw, max_steps):
+    """A graph, its groups and walk steps whose words are not the identity."""
+    graph, groups = draw(graphs_and_groups())
+    letter = letters(graph, groups)
+    history, steps = [], []
+    for _ in range(draw(st.integers(1, max_steps))):
+        s = draw(letter)
+        w = words(draw, graph, groups, history + [s])
+        if piling_of_word(w, graph, groups).syllables == 0:
+            continue
+        steps.append((s, tuple(w)))
+        history += [s] + w
+    return graph, groups, steps
+
+
+@settings(max_examples=300, **PROPERTY_SETTINGS)
+@given(st.data())
+def test_word_clause_iff_half_is_prefix_of_full(data):
+    # init(w) misses term(half) exactly when half is a prefix of half·w
+    graph, groups = data.draw(graphs_and_groups())
+    before = data.draw(st.lists(letters(graph, groups), max_size=8))
+    s = data.draw(letters(graph, groups))
+    w = words(data.draw, graph, groups, before + [s])
+    w_piling = piling_of_word(w, graph, groups)
+    if w_piling.syllables == 0:
+        return
+    half = piling_of_word(before + [s], graph, groups)
+    full = half
+    for v, x in w:
+        full = append(full, v, x, graph, groups)
+    clause = not any(half.ends_nontrivial(u) for u in init(w_piling))
+    assert clause == is_prefix(half, full)
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(steps_on_a_graph(max_steps=20))
+def test_incremental_stack_matches_bruteforce_at_every_horizon(case):
+    graph, groups, steps = case
+    trace = WalkTrace(graph, groups)
+    for k, (s, w) in enumerate(steps, start=1):
+        trace.extend(s, w)
+        assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
+        assert trace.strict_counts[k - 1] == len(trace.pivotal_times())

@@ -100,6 +100,24 @@ def test_pivot_popped_after_exact_inversion():
     assert pivotal_times_bruteforce(trace) == []
 
 
+def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
+    # G3: a and b commute.  At step 2, w = b a^-1 reduces to a^-1 b, whose
+    # initial clique {a, b} meets the half step's terminal clique: a^-1
+    # cancels s = a, so time 2 is pushed and popped while time 1 stays.
+    steps = [((2, 1), ((1, 1),)), ((0, 1), ((1, 1), (0, -1)))]
+    trace = WalkTrace.run(G3, Z3, steps)
+    assert not is_local_geodesic(trace.piling_after(1), *steps[1], G3, Z3)
+    assert trace.piling_after(2).syllables == 2
+    assert [c.time for c in trace.stack] == [1]
+    assert trace.active_counts == [1, 1]
+    assert trace.strict_counts == [0, 1]
+    assert pivotal_times_bruteforce(trace) == [1]
+    # the same word after s = a^2 merges into it instead of cancelling
+    trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
+    assert trace.half[1].syllables == 3 and trace.piling_after(2).syllables == 3
+    assert [c.time for c in trace.stack] == [1]
+
+
 def test_is_local_geodesic_cases():
     f0 = piling_of_word([], G3, Z3)
     # fresh letter at a, word at the non-adjacent c
