@@ -33,8 +33,6 @@ from .graphs import (
     edgeless_graph,
     graph_stats,
     make_graph,
-    max_clique_neighbourhood,
-    max_clique_size,
     maximal_cliques,
     parse_graph,
 )
@@ -59,8 +57,6 @@ from .piling import (
 from .walk import (
     FixedWord,
     ParetoLetter,
-    PivotalReport,
-    WalkConfig,
     WalkTrace,
     WordChoice,
     is_local_geodesic,

@@ -119,13 +119,6 @@ def _parse_nu(spec: str, graph: Graph, groups):
     raise ValueError(f"unknown nu spec {spec!r} (fixed:/list:/pareto:)")
 
 
-def _default_nu(graph: Graph, groups):
-    value = groups[0].from_int(1)
-    if groups[0].is_identity(value):
-        raise ValueError("cannot build the default nu word at vertex 0")
-    return FixedWord(((0, value),))
-
-
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="path to a graph file (JSON or edge list)")
     p.add_argument("--family", choices=sorted(_FAMILIES), help="built-in graph family")
@@ -143,7 +136,7 @@ def _add_walk_args(p: argparse.ArgumentParser) -> None:
 def _build_batch(args) -> TrialBatch:
     graph = _load_graph(args)
     groups = groups_from_spec(args.groups, graph.vertex_count)
-    nu = _parse_nu(args.nu, graph, groups) if args.nu else _default_nu(graph, groups)
+    nu = _parse_nu(args.nu, graph, groups) if args.nu else FixedWord(((0, groups[0].from_int(1)),))
     if args.n < 1:
         raise ValueError("--n must be positive")
     if args.trials < 1:

@@ -20,7 +20,7 @@ from typing import Sequence
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
 from .graphs import Graph, GraphStats, cycle_graph, graph_stats
 from .groups import VertexGroup
-from .walk import WalkConfig, run_walk
+from .walk import run_walk
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,18 +93,13 @@ class SweepRow:
 
 
 def _trial_metrics(batch: TrialBatch, trial: int) -> TrialMetrics:
-    cfg = WalkConfig(
-        graph=batch.graph,
-        groups=batch.groups,
-        nu=batch.nu,
-        steps=batch.steps,
-        seed=derive_seed(batch.base_seed, trial),
+    trace = run_walk(
+        batch.graph, batch.groups, batch.nu, batch.steps, derive_seed(batch.base_seed, trial)
     )
-    trace = run_walk(cfg)
     return TrialMetrics(
         trial=trial,
-        pivotal_count=trace.strict_counts[-1] if trace.strict_counts else 0,
-        syllable_counts=tuple(p.syllables for p in trace.full),
+        pivotal_count=len(trace.pivotal_times()),
+        syllable_counts=tuple(trace.syllable_counts),
         active_counts=tuple(trace.active_counts),
     )
 

@@ -197,28 +197,20 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
     yield from expand(frozenset(), set(range(g.vertex_count)), set())
 
 
-def max_clique_size(g: Graph) -> int:
-    return max(len(c) for c in maximal_cliques(g))
-
-
-def max_clique_neighbourhood(g: Graph) -> int:
-    """Largest closed 1-neighbourhood over all (nonempty) cliques.
+def graph_stats(g: Graph) -> GraphStats:
+    """D, the maximum clique size C, and B, the largest closed
+    1-neighbourhood over all (nonempty) cliques, from one enumeration.
 
     The closed neighbourhood of a clique contains the clique itself, so a
-    single edge in a 5-cycle already reaches 4 vertices.  The map is
+    single edge in a 5-cycle already reaches 4 vertices.  Both maps are
     monotone under clique inclusion, so maximal cliques suffice.
     """
-    best = 0
+    c = b = 0
     for clique in maximal_cliques(g):
         closed = set(clique)
         for v in clique:
             closed |= g.neighbors[v]
-        best = max(best, len(closed))
-    return best
-
-
-def graph_stats(g: Graph) -> GraphStats:
+        c = max(c, len(clique))
+        b = max(b, len(closed))
     d = g.vertex_count
-    c = max_clique_size(g)
-    b = max_clique_neighbourhood(g)
     return GraphStats(d, c, b, d > 3 * b + 2 * c)

@@ -2,12 +2,14 @@
 
 A walk of n steps multiplies alternately by a letter s_k drawn uniformly
 over the vertex groups and a word w_k from an arbitrary sampler that never
-produces the identity.  After each half step (s appended) and each full
-step (w folded in) the trace records the piling, and maintains the stack
-of candidate pivotal times: a time k stays on the stack while its
-half-step piling remains a prefix of every later recorded piling.  A time
-that falls off the stack never returns, because the prefix requirement
-quantifies over all intermediate pilings.
+produces the identity.  The trace stores the letters and words, the
+current piling, the syllable length and candidate count after each step,
+and the stack of candidate pivotal times: a time k stays on the stack
+while its half-step piling remains a prefix of every later half-step and
+full-step piling.  A time that falls off the stack never returns, because
+the prefix requirement quantifies over all intermediate pilings.  Those
+intermediate pilings are not kept; the definition scan and the debug dump
+replay them from the letters and words.
 
 Time k is pushed when s_k leaves the terminal clique of the previous
 piling; the other half of the local geodesic condition, that the initial
@@ -25,7 +27,6 @@ inspects only the most recent anchor until one survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
@@ -126,24 +127,6 @@ class ParetoLetter:
                 return ((v, value),)
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    graph: Graph
-    groups: tuple[VertexGroup, ...]
-    nu: object  # any object with .sample(rng, graph, groups) -> Word
-    steps: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class PivotalReport:
-    """Pivotal times with respect to the final step, strictly before it."""
-
-    pivotal_times: tuple[int, ...]
-    count: int
-    syllable_length: int
-
-
 class _Candidate:
     __slots__ = ("time", "anchor")
 
@@ -152,14 +135,27 @@ class _Candidate:
         self.anchor = anchor
 
 
-class WalkTrace:
-    """Everything one walk produced, plus the live pivotal-candidate stack.
+def _fold(
+    f_prev: Piling, s: MuLetter, w: Word, graph: Graph, groups: Sequence[VertexGroup]
+) -> tuple[Piling, Piling]:
+    """The half step f_prev·s and the full step f_prev·s·w."""
+    half = append(f_prev, s[0], s[1], graph, groups)
+    full = half
+    for wv, wval in w:
+        full = append(full, wv, wval, graph, groups)
+    return half, full
 
-    ``active_counts[k-1]`` counts the surviving candidates among times
-    1..k after step k (the inclusive count the step-increment experiments
-    use); ``strict_counts`` additionally excludes time k itself, matching
-    the pivotal-time definition, which only looks strictly before the
-    horizon.
+
+class WalkTrace:
+    """One walk's letters and words, its counts, and the live pivotal stack.
+
+    Stored: ``s_letters`` and ``nu_words``; ``stack``, the surviving
+    candidates with their half-step anchors; ``piling``, the full-step
+    piling after the last step; and per step k, ``syllable_counts[k-1]``,
+    its syllable length, and ``active_counts[k-1]``, the surviving
+    candidates among times 1..k (the inclusive count the step-increment
+    experiments use).  The other half-step and full-step pilings are
+    replayed on demand by :meth:`pilings`.
     """
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
@@ -167,12 +163,10 @@ class WalkTrace:
         self.groups = tuple(groups)
         self.s_letters: list[MuLetter] = []
         self.nu_words: list[tuple] = []
-        self.half: list[Piling] = []
-        self.full: list[Piling] = []
         self.stack: list[_Candidate] = []
+        self.piling = empty_piling(graph.vertex_count)
+        self.syllable_counts: list[int] = []
         self.active_counts: list[int] = []
-        self.strict_counts: list[int] = []
-        self._empty = empty_piling(graph.vertex_count)
 
     @classmethod
     def run(
@@ -188,11 +182,25 @@ class WalkTrace:
 
     @property
     def n(self) -> int:
-        return len(self.full)
+        return len(self.s_letters)
+
+    def pilings(self) -> tuple[list[Piling], list[Piling]]:
+        """Replay the half-step and the full-step piling of every step."""
+        half: list[Piling] = []
+        full: list[Piling] = []
+        f = empty_piling(self.graph.vertex_count)
+        for s, w in zip(self.s_letters, self.nu_words):
+            h, f = _fold(f, s, w, self.graph, self.groups)
+            half.append(h)
+            full.append(f)
+        return half, full
 
     def piling_after(self, k: int) -> Piling:
-        """The full-step piling after k steps (k = 0 gives the identity)."""
-        return self.full[k - 1] if k > 0 else self._empty
+        """The full-step piling after k steps (k = 0 gives the identity);
+        replayed unless k is the walk length."""
+        if k == self.n:
+            return self.piling
+        return self.pilings()[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
 
     def extend(self, s: MuLetter, w: Word) -> None:
         """Fold one (letter, word) step in and update the pivotal stack."""
@@ -200,29 +208,21 @@ class WalkTrace:
         if not w:
             raise ValueError("nu sampler produced an empty word")
         k = self.n + 1
-        f_prev = self.piling_after(k - 1)
-        vertex, value = s
-        half = append(f_prev, vertex, value, self.graph, self.groups)
-        full = half
-        for wv, wval in w:
-            full = append(full, wv, wval, self.graph, self.groups)
+        f_prev = self.piling
+        half, full = _fold(f_prev, s, w, self.graph, self.groups)
         if full.syllables == half.syllables and full == half:
             raise ValueError("nu sampler produced a word equal to the identity")
         self._prune(half)
         # Push k when s leaves the terminal clique; the prefix check against
         # the full step then pops it exactly when w eats s (module docstring).
-        if not f_prev.ends_nontrivial(vertex):
+        if not f_prev.ends_nontrivial(s[0]):
             self.stack.append(_Candidate(k, half))
         self._prune(full)
         self.s_letters.append(s)
         self.nu_words.append(w)
-        self.half.append(half)
-        self.full.append(full)
-        active = len(self.stack)
-        self.active_counts.append(active)
-        self.strict_counts.append(
-            active - (1 if self.stack and self.stack[-1].time == k else 0)
-        )
+        self.piling = full
+        self.syllable_counts.append(full.syllables)
+        self.active_counts.append(len(self.stack))
 
     def _prune(self, piling: Piling) -> None:
         stack = self.stack
@@ -233,10 +233,6 @@ class WalkTrace:
         """Times pivotal with respect to the walk length (strictly before it)."""
         n = self.n
         return tuple(c.time for c in self.stack if c.time < n)
-
-    def report(self) -> PivotalReport:
-        times = self.pivotal_times()
-        return PivotalReport(times, len(times), self.piling_after(self.n).syllables)
 
     def to_debug_json(self) -> dict:
         labels = self.graph.labels
@@ -249,7 +245,7 @@ class WalkTrace:
                     "full": render(f, labels),
                 }
                 for (v, val), word, h, f in zip(
-                    self.s_letters, self.nu_words, self.half, self.full
+                    self.s_letters, self.nu_words, *self.pilings()
                 )
             ],
             "pivotal_times": list(self.pivotal_times()),
@@ -302,7 +298,7 @@ def strong_choice_vertices(
 
 
 def pivotal_times_bruteforce(trace: WalkTrace, n: int | None = None) -> list[int]:
-    """Direct check of the pivotal-time definition against stored pilings.
+    """Direct check of the pivotal-time definition against replayed pilings.
 
     Quadratic; this is the oracle the incremental stack is tested against.
     """
@@ -310,12 +306,12 @@ def pivotal_times_bruteforce(trace: WalkTrace, n: int | None = None) -> list[int
         n = trace.n
     if n > trace.n:
         raise ValueError("horizon exceeds the trace length")
-    half, full = trace.half, trace.full
+    half, full = trace.pilings()
+    before = [empty_piling(trace.graph.vertex_count)] + full
     out = []
     for k in range(1, n):
-        f_prev = trace.piling_after(k - 1)
         if not is_local_geodesic(
-            f_prev, trace.s_letters[k - 1], trace.nu_words[k - 1], trace.graph, trace.groups
+            before[k - 1], trace.s_letters[k - 1], trace.nu_words[k - 1], trace.graph, trace.groups
         ):
             continue
         anchor = half[k - 1]
@@ -348,16 +344,16 @@ def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:
     return WalkTrace.run(trace.graph, trace.groups, steps)
 
 
-def run_walk(cfg: WalkConfig) -> WalkTrace:
+def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int) -> WalkTrace:
     """Sample and fold a walk; deterministic in the seed.
 
-    Per step the generator is consumed in a fixed order: the uniform
-    letter first, then the nu word.
+    ``nu`` is any object with ``.sample(rng, graph, groups) -> Word``.  Per
+    step the generator is consumed in a fixed order: the uniform letter
+    first, then the nu word.
     """
-    rng = Random(cfg.seed)
-    steps = []
-    for _ in range(cfg.steps):
-        s = sample_mu(cfg.graph, cfg.groups, rng)
-        w = tuple(cfg.nu.sample(rng, cfg.graph, cfg.groups))
-        steps.append((s, w))
-    return WalkTrace.run(cfg.graph, cfg.groups, steps)
+    rng = Random(seed)
+    trace = WalkTrace(graph, groups)
+    for _ in range(steps):
+        s = sample_mu(graph, trace.groups, rng)
+        trace.extend(s, nu.sample(rng, graph, trace.groups))
+    return trace

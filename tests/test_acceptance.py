@@ -40,7 +40,6 @@ from gpdrift.piling import (
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
-    WalkConfig,
     WordChoice,
     pivot_replace,
     pivotal_times_bruteforce,
@@ -214,10 +213,10 @@ def test_criterion_4_pivotal_times_against_bruteforce():
         + [200] * 30
     )
     for i, n in enumerate(sizes):
-        trace = run_walk(WalkConfig(graph, groups, _nu_for(i), n, seed=1_000_000 + i))
+        trace = run_walk(graph, groups, _nu_for(i), n, 1_000_000 + i)
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
         syl = trace.piling_after(trace.n).syllables
-        assert trace.report().count <= syl
+        assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
     report(4, "incremental pivotal stack == definition scan on 10^3 walks", time.perf_counter() - t0, budget=120.0)
 
@@ -232,7 +231,7 @@ def test_criterion_5_pivot_replacement_invariance():
     while replaced < 1000:
         attempt += 1
         n = rng.randrange(10, 51)
-        trace = run_walk(WalkConfig(graph, groups, _nu_for(attempt), n, seed=2_000_000 + attempt))
+        trace = run_walk(graph, groups, _nu_for(attempt), n, 2_000_000 + attempt)
         times = trace.pivotal_times()
         if not times:
             continue

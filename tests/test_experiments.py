@@ -23,7 +23,7 @@ import gpdrift.experiments as experiments
 from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats
 from gpdrift.groups import groups_from_spec, uniform_groups
 from gpdrift.piling import render
-from gpdrift.walk import FixedWord, ParetoLetter, WalkConfig, WalkTrace, WordChoice, run_walk
+from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk
 
 C17 = cycle_graph(17)
 Z17 = uniform_groups(17)
@@ -98,12 +98,13 @@ def test_walk_prefix_is_the_shorter_walk(nu):
     # one batch of n+1 steps serves the n-step checks only because of this
     for trial in range(40):
         seed = derive_seed(31, trial)
-        short = run_walk(WalkConfig(C17, MIXED17, nu, 30, seed))
-        long = run_walk(WalkConfig(C17, MIXED17, nu, 31, seed))
+        short = run_walk(C17, MIXED17, nu, 30, seed)
+        long = run_walk(C17, MIXED17, nu, 31, seed)
+        assert long.s_letters[:30] == short.s_letters
+        assert long.nu_words[:30] == short.nu_words
         assert long.active_counts[:30] == short.active_counts
-        assert long.strict_counts[:30] == short.strict_counts
-        assert [p.syllables for p in long.full[:30]] == [p.syllables for p in short.full]
-        assert render(long.full[29], C17.labels) == render(short.full[29], C17.labels)
+        assert long.syllable_counts[:30] == short.syllable_counts
+        assert render(long.piling_after(30), C17.labels) == render(short.piling, C17.labels)
 
 
 def test_batch_metrics_record_every_step():

@@ -10,8 +10,6 @@ from gpdrift.graphs import (
     edgeless_graph,
     graph_stats,
     make_graph,
-    max_clique_neighbourhood,
-    max_clique_size,
     maximal_cliques,
     parse_graph,
 )
@@ -84,17 +82,17 @@ def test_edgeless_json_form():
 
 
 def test_clique_size_examples():
-    assert max_clique_size(cycle_graph(5)) == 2
-    assert max_clique_size(complete_graph(4)) == 4
-    assert max_clique_size(edgeless_graph(7)) == 1
+    assert graph_stats(cycle_graph(5)).max_clique == 2
+    assert graph_stats(complete_graph(4)).max_clique == 4
+    assert graph_stats(edgeless_graph(7)).max_clique == 1
 
 
 def test_neighbourhood_examples():
-    assert max_clique_neighbourhood(cycle_graph(5)) == 4
-    assert max_clique_neighbourhood(complete_graph(4)) == 4
-    assert max_clique_neighbourhood(edgeless_graph(7)) == 1
+    assert graph_stats(cycle_graph(5)).max_neighbourhood == 4
+    assert graph_stats(complete_graph(4)).max_neighbourhood == 4
+    assert graph_stats(edgeless_graph(7)).max_neighbourhood == 1
     for d in (5, 6, 9, 20, 101):
-        assert max_clique_neighbourhood(cycle_graph(d)) == 4
+        assert graph_stats(cycle_graph(d)).max_neighbourhood == 4
 
 
 def test_stats_cycles():
@@ -133,11 +131,11 @@ def test_clique_size_against_bruteforce():
     rng = Random(123)
     for _ in range(40):
         g = random_graph(rng.randrange(1, 11), rng.random(), rng)
-        assert max_clique_size(g) == max_clique_bruteforce(g)
+        assert graph_stats(g).max_clique == max_clique_bruteforce(g)
     # a few larger sparse instances, up to twenty vertices
     for d in (15, 18, 20):
         g = random_graph(d, 0.25, rng)
-        assert max_clique_size(g) == max_clique_bruteforce(g)
+        assert graph_stats(g).max_clique == max_clique_bruteforce(g)
 
 
 def test_neighbourhood_against_bruteforce():
@@ -145,10 +143,10 @@ def test_neighbourhood_against_bruteforce():
     rng = Random(456)
     for _ in range(40):
         g = random_graph(rng.randrange(1, 10), rng.random(), rng)
-        assert max_clique_neighbourhood(g) == max_neighbourhood_bruteforce(g)
+        assert graph_stats(g).max_neighbourhood == max_neighbourhood_bruteforce(g)
     for d in (11, 12):
         g = random_graph(d, 0.35, rng)
-        assert max_clique_neighbourhood(g) == max_neighbourhood_bruteforce(g)
+        assert graph_stats(g).max_neighbourhood == max_neighbourhood_bruteforce(g)
 
 
 def test_stats_ordering_invariant():

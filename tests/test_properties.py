@@ -101,7 +101,16 @@ def test_word_clause_iff_half_is_prefix_of_full(data):
 def test_incremental_stack_matches_bruteforce_at_every_horizon(case):
     graph, groups, steps = case
     trace = WalkTrace(graph, groups)
-    for k, (s, w) in enumerate(steps, start=1):
+    letters_so_far = []
+    for s, w in steps:
         trace.extend(s, w)
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
-        assert trace.strict_counts[k - 1] == len(trace.pivotal_times())
+        # the replayed pilings end at the stored one, carry the stored
+        # counts, and are the normal forms of the flattened step prefixes
+        half, full = trace.pilings()
+        assert full[-1] == trace.piling
+        assert trace.syllable_counts == [p.syllables for p in full]
+        letters_so_far.append(s)
+        assert half[-1] == piling_of_word(letters_so_far, graph, groups)
+        letters_so_far.extend(w)
+        assert full[-1] == piling_of_word(letters_so_far, graph, groups)

@@ -10,7 +10,6 @@ from gpdrift.piling import init, is_prefix, piling_of_word, syllable_length, ter
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
-    WalkConfig,
     WalkTrace,
     WordChoice,
     is_local_geodesic,
@@ -28,11 +27,11 @@ G3 = make_graph(["a", "b", "c"], [(0, 1)])
 Z3 = uniform_groups(3)
 
 
-def small_cfg(steps=20, seed=1, graph=None, groups=None, nu=None):
+def small_walk(steps=20, seed=1, graph=None, groups=None, nu=None):
     graph = graph or cycle_graph(6)
     groups = groups or uniform_groups(graph.vertex_count)
     nu = nu or FixedWord(((0, 1),))
-    return WalkConfig(graph=graph, groups=groups, nu=nu, steps=steps, seed=seed)
+    return run_walk(graph, groups, nu, steps, seed)
 
 
 def test_sample_mu_uniform_vertices():
@@ -59,20 +58,18 @@ def test_sample_mu_single_vertex():
 
 
 def test_zero_step_walk():
-    trace = run_walk(small_cfg(steps=0))
+    trace = small_walk(steps=0)
     assert trace.n == 0
     assert trace.pivotal_times() == ()
-    r = trace.report()
-    assert r.count == 0 and r.syllable_length == 0
+    assert trace.piling.syllables == 0 and trace.syllable_counts == []
 
 
 def test_determinism():
-    cfg = small_cfg(steps=50, seed=987, nu=ParetoLetter(1.3))
-    t1, t2 = run_walk(cfg), run_walk(cfg)
+    t1, t2 = (small_walk(steps=50, seed=987, nu=ParetoLetter(1.3)) for _ in range(2))
     assert t1.s_letters == t2.s_letters
     assert t1.nu_words == t2.nu_words
     assert t1.pivotal_times() == t2.pivotal_times()
-    assert all(a == b for a, b in zip(t1.full, t2.full))
+    assert t1.pilings() == t2.pilings()
 
 
 def test_free_product_no_cancellation_walk():
@@ -110,11 +107,11 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     assert trace.piling_after(2).syllables == 2
     assert [c.time for c in trace.stack] == [1]
     assert trace.active_counts == [1, 1]
-    assert trace.strict_counts == [0, 1]
+    assert trace.pivotal_times() == (1,)
     assert pivotal_times_bruteforce(trace) == [1]
     # the same word after s = a^2 merges into it instead of cancelling
     trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
-    assert trace.half[1].syllables == 3 and trace.piling_after(2).syllables == 3
+    assert trace.pilings()[0][1].syllables == 3 and trace.piling_after(2).syllables == 3
     assert [c.time for c in trace.stack] == [1]
 
 
@@ -158,8 +155,7 @@ def test_local_geodesic_growth():
 def test_stack_nesting_invariant():
     rng = Random(32)
     for seed in range(30):
-        cfg = small_cfg(steps=40, seed=seed, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
-        trace = run_walk(cfg)
+        trace = small_walk(steps=40, seed=seed, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
         for lower, upper in zip(trace.stack, trace.stack[1:]):
             assert lower.time < upper.time
             assert is_prefix(lower.anchor, upper.anchor)
@@ -178,7 +174,7 @@ def test_incremental_matches_bruteforce(nu):
     groups = uniform_groups(6)
     for seed in range(60):
         n = 5 + (seed * 7) % 36
-        trace = run_walk(WalkConfig(graph, groups, nu, n, seed))
+        trace = run_walk(graph, groups, nu, n, seed)
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
 
 
@@ -190,21 +186,21 @@ def test_incremental_matches_bruteforce_random_graphs():
         groups = uniform_groups(d, CyclicGroup(3) if rng.random() < 0.5 else IntegerGroup())
         nu = FixedWord(tuple(random_word(graph, groups, rng.randrange(1, 3), rng)))
         try:
-            trace = run_walk(WalkConfig(graph, groups, nu, 30, rng.randrange(10**6)))
+            trace = run_walk(graph, groups, nu, 30, rng.randrange(10**6))
         except ValueError:
             continue  # nu word happened to be an identity word; not this test's concern
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
-        # intermediate horizons agree with the recorded strict counts
+        # intermediate horizons agree with the stack of the walk cut there
+        steps = list(zip(trace.s_letters, trace.nu_words))
         for m in (1, 7, 19, trace.n):
-            assert len(pivotal_times_bruteforce(trace, m)) == (
-                trace.strict_counts[m - 1] if m >= 1 else 0
-            )
+            prefix = WalkTrace.run(graph, groups, steps[:m])
+            assert list(prefix.pivotal_times()) == pivotal_times_bruteforce(trace, m)
 
 
 def test_identity_nu_word_rejected():
     nu = FixedWord(((2, 1), (2, -1)))
     with pytest.raises(ValueError, match="identity"):
-        run_walk(small_cfg(graph=G3, groups=Z3, nu=nu, steps=3))
+        small_walk(graph=G3, groups=Z3, nu=nu, steps=3)
 
 
 def test_empty_nu_word_rejected():
@@ -276,7 +272,7 @@ def test_pivot_replace_identity():
     graph = cycle_graph(8)
     groups = uniform_groups(8)
     for seed in range(40):
-        trace = run_walk(WalkConfig(graph, groups, FixedWord(((0, 1),)), 25, seed))
+        trace = run_walk(graph, groups, FixedWord(((0, 1),)), 25, seed)
         for k in trace.pivotal_times():
             s = trace.s_letters[k - 1]
             if not is_strong_pivot_choice(
@@ -297,9 +293,7 @@ def test_pivot_replace_preserves_pivotal_times():
     seed = 0
     while replaced < 60:
         seed += 1
-        trace = run_walk(
-            WalkConfig(graph, groups, WordChoice([((0, 1),), ((4, -1),)]), 20, seed)
-        )
+        trace = run_walk(graph, groups, WordChoice([((0, 1),), ((4, -1),)]), 20, seed)
         options = []
         for k in trace.pivotal_times():
             vs = strong_choice_vertices(
@@ -325,7 +319,7 @@ def test_pivot_replace_preserves_pivotal_times():
 def test_pivot_replace_rejects_bad_inputs():
     graph = cycle_graph(8)
     groups = uniform_groups(8)
-    trace = run_walk(WalkConfig(graph, groups, FixedWord(((0, 1),)), 15, 5))
+    trace = run_walk(graph, groups, FixedWord(((0, 1),)), 15, 5)
     times = trace.pivotal_times()
     non_pivotal = next(k for k in range(1, trace.n) if k not in times)
     with pytest.raises(ValueError, match="not pivotal"):
@@ -343,28 +337,53 @@ def test_chain_inequality_and_pivot_growth():
     graph = cycle_graph(7)
     groups = uniform_groups(7)
     for seed in range(30):
-        trace = run_walk(WalkConfig(graph, groups, ParetoLetter(1.2), 30, seed))
+        trace = run_walk(graph, groups, ParetoLetter(1.2), 30, seed)
         n = trace.n
         syl = trace.piling_after(n).syllables
-        report = trace.report()
-        assert report.count <= syl
+        assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
         # the strict chain along pivotal times
         prev = 0
+        half, full = trace.pilings()
         for k in trace.pivotal_times():
-            f_before = trace.piling_after(k - 1).syllables
-            h = trace.half[k - 1].syllables
+            f_before = full[k - 2].syllables if k > 1 else 0
+            h = half[k - 1].syllables
             assert prev <= f_before < h
             prev = h
         assert prev <= syl
 
 
 def test_debug_json_shape():
-    trace = run_walk(small_cfg(steps=3, seed=2))
+    trace = small_walk(steps=3, seed=2)
     doc = trace.to_debug_json()
     assert len(doc["steps"]) == 3
     assert set(doc["steps"][0]) == {"s", "w", "half", "full"}
     assert doc["pivotal_times"] == list(trace.pivotal_times())
+
+
+def test_debug_json_golden():
+    # step 2's s and w merge into the terminal c; step 3's word cancels
+    # s = b and the c^3 it had built, leaving the half step of time 1
+    steps = [((0, 1), ((2, 1),)), ((2, 1), ((2, 1), (1, 1))), ((1, 1), ((1, -2), (2, -3)))]
+    doc = WalkTrace.run(G3, Z3, steps).to_debug_json()
+    assert doc == {
+        "steps": [
+            {"s": "a^1", "w": ["c^1"], "half": "a^1, ε, 0", "full": "a^1 0, 0, 0 c^1"},
+            {
+                "s": "c^1",
+                "w": ["c^1", "b^1"],
+                "half": "a^1 0, 0, 0 c^2",
+                "full": "a^1 0, 0 b^1, 0 c^3 0",
+            },
+            {
+                "s": "b^1",
+                "w": ["b^-2", "c^-3"],
+                "half": "a^1 0, 0 b^2, 0 c^3 0",
+                "full": "a^1, ε, 0",
+            },
+        ],
+        "pivotal_times": [1],
+    }
 
 
 def _floor_power_reference(u, alpha):
