@@ -50,7 +50,6 @@ from .piling import (
     linearize,
     piling_of_word,
     render,
-    syllable_length,
     term,
     validate,
 )
@@ -60,7 +59,6 @@ from .walk import (
     WalkTrace,
     WordChoice,
     is_local_geodesic,
-    is_strong_pivot_choice,
     pivot_replace,
     pivotal_times_bruteforce,
     run_walk,

@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="bound across cycle lengths, write a CSV")
-    p.add_argument("--family", choices=["cycle"], default="cycle")
     p.add_argument("--from", dest="start", type=int, default=17)
     p.add_argument("--to", dest="stop", type=int, default=12000)
     p.add_argument("--points", type=int, default=50)

@@ -57,8 +57,6 @@ class PivotIncrementDistribution:
         """P(U <= -j) for j >= 1."""
         if j < 1:
             raise ValueError("tail is defined for j >= 1")
-        if self.b == 0:
-            return (self.b + self.c) / self.d if j == 1 else 0.0
         return (self.b + self.c) / self.d * self.ratio ** (j - 1)
 
     def pmf(self, u: int) -> float:

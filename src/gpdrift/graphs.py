@@ -75,13 +75,15 @@ class GraphStats:
 def make_graph(labels: Iterable[str], edges: Iterable) -> Graph:
     """Validate and normalize a vertex/edge description.
 
-    Duplicate edges are dropped with a warning; self-loops and out-of-range
-    indices raise ``ValueError``.
+    Duplicate edges are dropped with a warning; repeated labels, self-loops
+    and out-of-range indices raise ``ValueError``.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise ValueError("graph needs at least one vertex")
     d = len(labels)
+    if len(set(labels)) != d:
+        raise ValueError("vertex labels must be distinct")
     seen: set[tuple[int, int]] = set()
     normalized = []
     for e in edges:

@@ -13,10 +13,10 @@ Representation: strings are persistent stacks with one node per
 nontrivial letter; the zero markers between elements are stored as
 run-length counts on the nodes, and the trailing run of each string is
 kept on the piling itself.  There is no cache of leading runs: the rare
-reader that needs one (``init``, one branch of ``is_prefix``) walks down
-to the bottom node of the string.  Appends are O(1) per affected string,
-and the walk machinery can hold thousands of snapshots that share
-structure.
+reader that needs one (``init``, and ``is_prefix`` against an empty
+string) walks down to the bottom node of the string.  Appends are O(1)
+per affected string, and the walk machinery can hold thousands of
+snapshots that share structure.
 ``string()`` materializes the conventional letter sequence (``None`` is
 the zero marker, ``(vertex, value)`` a nontrivial letter) for rendering,
 linearization, and invariant checks.
@@ -121,14 +121,11 @@ class Piling:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Piling):
             return NotImplemented
-        if self._syllables != other._syllables or self._tails != other._tails:
-            return False
-        for a, b in zip(self._tops, other._tops):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and (a.depth != b.depth or not _stack_equal(a, b)):
-                return False
-        return True
+        return (
+            self._syllables == other._syllables
+            and self._tails == other._tails
+            and all(map(_stack_equal, self._tops, other._tops))
+        )
 
     __hash__ = None  # mutable-feeling value type; not meant for dict keys
 
@@ -203,10 +200,6 @@ def init(p: Piling) -> frozenset[int]:
     )
 
 
-def syllable_length(p: Piling) -> int:
-    return p._syllables
-
-
 def invert(p: Piling, groups: Sequence[VertexGroup]) -> Piling:
     """Reverse every string and invert every element; zeros stay put."""
     new_strings = []
@@ -233,35 +226,25 @@ def concat(p: Piling, q: Piling) -> Piling:
 def is_prefix(p: Piling, q: Piling) -> bool:
     """True when every string of ``p`` is a letterwise prefix in ``q``.
 
-    Nontrivial letters compare by exact group-element equality.  Hot path
-    for the walk machinery: when the strings share their top node (the
-    usual case across snapshots of one walk) each check is a couple of
-    comparisons.
+    Nontrivial letters compare by exact group-element equality.  Each
+    string of ``q`` is walked down to the depth of the matching string of
+    ``p`` (an empty string has depth 0), keeping the zero run that follows
+    the node reached; the two stacks must then be equal and the trailing
+    run of ``p`` no longer than that run.  Hot path for the walk
+    machinery: when the strings share their top node (the usual case
+    across snapshots of one walk) the check is a couple of comparisons.
     """
     if p.d != q.d:
         raise ValueError("pilings have different string counts")
     for a, pz, b, qz in zip(p._tops, p._tails, q._tops, q._tails):
-        if a is b:
-            # same top node (or both all-zero): only the tail run matters
-            if pz > qz:
+        if a is not b:
+            depth = a.depth if a is not None else 0
+            while b is not None and b.depth > depth:
+                qz = b.zeros_before
+                b = b.parent
+            if not (a is b or _stack_equal(a, b)):
                 return False
-            continue
-        if a is None:
-            if pz == 0:
-                continue
-            lead = _bottom(b).zeros_before if b is not None else qz
-            if pz > lead:
-                return False
-            continue
-        if b is None or b.depth < a.depth:
-            return False
-        boundary = qz
-        while b.depth > a.depth:
-            boundary = b.zeros_before
-            b = b.parent
-        if pz > boundary:
-            return False
-        if a is not b and not _stack_equal(a, b):
+        if pz > qz:
             return False
     return True
 

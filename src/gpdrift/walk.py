@@ -90,17 +90,16 @@ class ParetoLetter:
     """Nu sampler: one letter with a heavy-tailed integer magnitude.
 
     The magnitude M satisfies P(M >= m) = m**-alpha, so small alpha has no
-    finite mean; the drift bound must not care.  The vertex is uniform
-    unless pinned, the sign uniform, and the magnitude is pushed through
-    the group's ``from_int`` (re-drawing in finite groups when the residue
-    is the identity).
+    finite mean; the drift bound must not care.  The vertex and the sign
+    are uniform, and the magnitude is pushed through the group's
+    ``from_int`` (re-drawing in finite groups when the residue is the
+    identity).
     """
 
-    def __init__(self, alpha: float, vertex: int | None = None):
+    def __init__(self, alpha: float):
         if not (math.isfinite(alpha) and alpha >= _MIN_ALPHA):
             raise ValueError(f"alpha must be a finite number of at least {_MIN_ALPHA}, got {alpha!r}")
         self.alpha = alpha
-        self.vertex = vertex
 
     def magnitude(self, u: float) -> int:
         """floor(u ** (-1/alpha)) for u in (0, 1]: in floats while the power
@@ -117,7 +116,7 @@ class ParetoLetter:
                 return int(Decimal(u) ** Decimal(-e))
 
     def sample(self, rng: Random, graph: Graph, groups: Sequence[VertexGroup]) -> Word:
-        v = self.vertex if self.vertex is not None else rng.randrange(graph.vertex_count)
+        v = rng.randrange(graph.vertex_count)
         group = groups[v]
         while True:
             magnitude = self.magnitude(1.0 - rng.random())  # u in (0, 1]
@@ -184,23 +183,22 @@ class WalkTrace:
     def n(self) -> int:
         return len(self.s_letters)
 
-    def pilings(self) -> tuple[list[Piling], list[Piling]]:
-        """Replay the half-step and the full-step piling of every step."""
+    def pilings(self, k: int | None = None) -> tuple[list[Piling], list[Piling]]:
+        """Replay the half-step and the full-step piling of each of the
+        first k steps (of every step when k is None)."""
         half: list[Piling] = []
         full: list[Piling] = []
         f = empty_piling(self.graph.vertex_count)
-        for s, w in zip(self.s_letters, self.nu_words):
+        for s, w in zip(self.s_letters[:k], self.nu_words[:k]):
             h, f = _fold(f, s, w, self.graph, self.groups)
             half.append(h)
             full.append(f)
         return half, full
 
     def piling_after(self, k: int) -> Piling:
-        """The full-step piling after k steps (k = 0 gives the identity);
-        replayed unless k is the walk length."""
-        if k == self.n:
-            return self.piling
-        return self.pilings()[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
+        """The full-step piling after k steps (k = 0 gives the identity),
+        replayed from the first k steps; ``piling`` holds the last one."""
+        return self.pilings(k)[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
 
     def extend(self, s: MuLetter, w: Word) -> None:
         """Fold one (letter, word) step in and update the pivotal stack."""
@@ -273,23 +271,13 @@ def is_local_geodesic(
     return not any(half.ends_nontrivial(u) for u in w_init)
 
 
-def is_strong_pivot_choice(
-    f_prev: Piling,
-    s: MuLetter,
-    w: Word,
-    graph: Graph,
-    groups: Sequence[VertexGroup],
-) -> bool:
-    """Stronger than local geodesic: the vertex also avoids the closed
-    neighbourhood of the word's initial clique, so swapping it in cannot
-    disturb any other pivotal time."""
-    return s[0] in strong_choice_vertices(f_prev, w, graph, groups)
-
-
 def strong_choice_vertices(
     f_prev: Piling, w: Word, graph: Graph, groups: Sequence[VertexGroup]
 ) -> frozenset[int]:
-    """All vertices whose letters qualify under the strong pivot condition."""
+    """All vertices whose letters qualify under the strong pivot condition:
+    stronger than local geodesic, the vertex also avoids the closed
+    neighbourhood of the word's initial clique, so swapping it in cannot
+    disturb any other pivotal time."""
     w_init = init(piling_of_word(w, graph, groups))
     blocked = set(term(f_prev)) | set(w_init)
     for u in w_init:
@@ -331,17 +319,14 @@ def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:
     """
     if k not in trace.pivotal_times():
         raise ValueError(f"time {k} is not pivotal for this trace")
-    if not is_strong_pivot_choice(
-        trace.piling_after(k - 1),
-        s_new,
-        trace.nu_words[k - 1],
-        trace.graph,
-        trace.groups,
-    ):
-        raise ValueError("replacement letter fails the strong pivot condition")
     steps = list(zip(trace.s_letters, trace.nu_words))
-    steps[k - 1] = (s_new, trace.nu_words[k - 1])
-    return WalkTrace.run(trace.graph, trace.groups, steps)
+    rebuilt = WalkTrace.run(trace.graph, trace.groups, steps[: k - 1])
+    w = steps[k - 1][1]
+    if s_new[0] not in strong_choice_vertices(rebuilt.piling, w, trace.graph, trace.groups):
+        raise ValueError("replacement letter fails the strong pivot condition")
+    for s, word in [(s_new, w)] + steps[k:]:
+        rebuilt.extend(s, word)
+    return rebuilt
 
 
 def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int) -> WalkTrace:

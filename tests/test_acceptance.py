@@ -34,7 +34,6 @@ from gpdrift.piling import (
     invert,
     piling_of_word,
     render,
-    syllable_length,
     term,
 )
 from gpdrift.walk import (
@@ -188,7 +187,7 @@ def test_criterion_3_normal_form_oracle():
     rng = Random(77)
     for _ in range(1000):
         w = random_word(graph6, groups6, rng.randrange(0, 9), rng)
-        assert syllable_length(piling_of_word(w, graph6, groups6)) == min_syllable_bfs(
+        assert piling_of_word(w, graph6, groups6).syllables == min_syllable_bfs(
             w, graph6, groups6
         )
     report(3, "syllable length matches the rewriting oracle", time.perf_counter() - t0, budget=120.0)
@@ -215,7 +214,7 @@ def test_criterion_4_pivotal_times_against_bruteforce():
     for i, n in enumerate(sizes):
         trace = run_walk(graph, groups, _nu_for(i), n, 1_000_000 + i)
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
-        syl = trace.piling_after(trace.n).syllables
+        syl = trace.piling.syllables
         assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
     report(4, "incremental pivotal stack == definition scan on 10^3 walks", time.perf_counter() - t0, budget=120.0)

@@ -292,6 +292,17 @@ def test_pareto_alpha_must_be_finite(capsys):
         assert code == 2 and "alpha must be a finite number" in err
 
 
+def test_graph_duplicate_labels_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"vertices": ["a", "a", "b"], "edges": [[0, 2]]}))
+    # before the check, fixed:a^1 silently meant the second "a"
+    code, _, err = run_cli(
+        capsys, "simulate", "--graph", str(path), "--nu", "fixed:a^1",
+        "--n", "3", "--trials", "2", "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 2 and "vertex labels must be distinct" in err
+
+
 def test_graph_json_field_types_exit_2(tmp_path, capsys):
     for i, doc in enumerate([
         {"vertices": ["a", "b"], "edges": 5},

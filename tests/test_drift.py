@@ -74,6 +74,16 @@ def test_distribution_mass_and_shape():
         assert dist.pmf(0) == 0.0 and dist.pmf(2) == 0.0
 
 
+def test_distribution_tail_and_pmf_when_b_is_zero():
+    # b = 0: the ratio is 0.0, so only U = -1 carries the downward mass
+    for c, d in [(1, 2), (1, 5), (2, 3), (3, 17), (6, 61)]:
+        dist = PivotIncrementDistribution(0, c, d)
+        assert dist.tail(1) == dist.pmf(-1) == c / d
+        assert dist.pmf(1) == (d - c) / d
+        for j in range(2, 8):
+            assert dist.tail(j) == 0.0 and dist.pmf(-j) == 0.0
+
+
 def test_distribution_requires_domain():
     with pytest.raises(ValueError):
         PivotIncrementDistribution(4, 2, 10)

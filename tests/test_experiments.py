@@ -152,7 +152,7 @@ def test_exact_drift_two_when_letters_never_collide():
     n = 25
     steps = [((k % 3, 1), ((3, 1),)) for k in range(n)]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling_after(n).syllables / n == 2.0
+    assert trace.piling.syllables / n == 2.0
 
 
 def test_wilson_upper_monotone_and_bounded():

@@ -16,10 +16,10 @@ from gpdrift.piling import (
     linearize,
     piling_of_word,
     render,
-    syllable_length,
     term,
     validate,
 )
+from gpdrift.walk import WalkTrace
 
 from oracles import (
     invert_word,
@@ -43,7 +43,7 @@ def pil(word, graph=G3, groups=Z3):
 def test_empty_piling():
     p = empty_piling(3)
     assert p.strings() == ((), (), ())
-    assert syllable_length(p) == 0
+    assert p.syllables == 0
     assert term(p) == frozenset() and init(p) == frozenset()
     with pytest.raises(ValueError):
         empty_piling(0)
@@ -159,6 +159,10 @@ def test_is_prefix_examples():
 
 
 def test_is_prefix_matches_tuple_definition():
+    def agree(x, y):
+        assert is_prefix(x, y) == tuple_is_prefix(x.strings(), y.strings())
+        assert (x == y) == (x.strings() == y.strings())
+
     rng = Random(15)
     graphs = [G3, cycle_graph(6), random_graph(5, 0.4, Random(2))]
     for graph in graphs:
@@ -170,19 +174,32 @@ def test_is_prefix_matches_tuple_definition():
             q = piling_of_word(list(w) + list(u), graph, groups)
             r = piling_of_word(u, graph, groups)
             for x, y in [(p, q), (p, r), (q, p), (r, p)]:
-                assert is_prefix(x, y) == tuple_is_prefix(x.strings(), y.strings())
+                agree(x, y)
+        # half and full steps of one walk share nodes, so both the identity
+        # and the value comparison of stacks are reached
+        for _ in range(20):
+            trace = WalkTrace(graph, groups)
+            while trace.n < 12:
+                w = random_word(graph, groups, rng.randrange(1, 4), rng)
+                if piling_of_word(w, graph, groups).syllables:
+                    s = rng.randrange(graph.vertex_count)
+                    trace.extend((s, groups[s].sample_nontrivial(rng)), w)
+            half, full = trace.pilings()
+            for x in half + full:
+                for y in half + full:
+                    agree(x, y)
 
 
 def test_syllable_length_examples():
-    assert syllable_length(pil([(A, 1), (C, 1), (B, 1)])) == 3
-    assert syllable_length(empty_piling(3)) == 0
+    assert pil([(A, 1), (C, 1), (B, 1)]).syllables == 3
+    assert empty_piling(3).syllables == 0
 
 
 def test_syllable_length_never_exceeds_word_length():
     rng = Random(16)
     for _ in range(300):
         w = random_word(G3, Z3, rng.randrange(0, 14), rng)
-        assert syllable_length(pil(w)) <= len(w)
+        assert pil(w).syllables <= len(w)
 
 
 def test_matches_naive_fold_on_random_graphs():
@@ -253,7 +270,7 @@ def test_linearize_is_syllable_reduced():
     for _ in range(100):
         w = random_word(G3, Z3, rng.randrange(0, 10), rng)
         p = pil(w)
-        assert len(linearize(p, G3)) == syllable_length(p)
+        assert len(linearize(p, G3)) == p.syllables
 
 
 def test_from_strings_validation():
@@ -284,7 +301,7 @@ def test_normal_form_is_minimal_bfs_small():
 
     def walk(word, depth):
         p = piling_of_word(word, G3, groups)
-        assert syllable_length(p) == min_syllable_bfs(word, G3, groups)
+        assert p.syllables == min_syllable_bfs(word, G3, groups)
         if depth == 0:
             return
         for letter in letters:

@@ -4,16 +4,17 @@ from random import Random
 
 import pytest
 
+from gpdrift import walk
 from gpdrift.graphs import cycle_graph, edgeless_graph, graph_stats, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup, uniform_groups
-from gpdrift.piling import init, is_prefix, piling_of_word, syllable_length, term
+from gpdrift.piling import append, init, is_prefix, piling_of_word, term
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
     WalkTrace,
     WordChoice,
+    _fold,
     is_local_geodesic,
-    is_strong_pivot_choice,
     pivot_replace,
     pivotal_times_bruteforce,
     run_walk,
@@ -79,7 +80,7 @@ def test_free_product_no_cancellation_walk():
     n = 15
     steps = [((k % 3, 1), ((3, 1),)) for k in range(n)]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling_after(n).syllables == 2 * n
+    assert trace.piling.syllables == 2 * n
     assert trace.pivotal_times() == tuple(range(1, n))
     assert pivotal_times_bruteforce(trace) == list(range(1, n))
     assert trace.active_counts == list(range(1, n + 1))
@@ -91,7 +92,7 @@ def test_pivot_popped_after_exact_inversion():
     groups = uniform_groups(2)
     steps = [((0, 1), ((1, 1),)), ((1, -1), ((0, -1),))]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling_after(2).syllables == 0
+    assert trace.piling.syllables == 0
     assert trace.pivotal_times() == ()
     assert trace.active_counts == [1, 0]
     assert pivotal_times_bruteforce(trace) == []
@@ -104,14 +105,14 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     steps = [((2, 1), ((1, 1),)), ((0, 1), ((1, 1), (0, -1)))]
     trace = WalkTrace.run(G3, Z3, steps)
     assert not is_local_geodesic(trace.piling_after(1), *steps[1], G3, Z3)
-    assert trace.piling_after(2).syllables == 2
+    assert trace.piling.syllables == 2
     assert [c.time for c in trace.stack] == [1]
     assert trace.active_counts == [1, 1]
     assert trace.pivotal_times() == (1,)
     assert pivotal_times_bruteforce(trace) == [1]
     # the same word after s = a^2 merges into it instead of cancelling
     trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
-    assert trace.pilings()[0][1].syllables == 3 and trace.piling_after(2).syllables == 3
+    assert trace.pilings()[0][1].syllables == 3 and trace.piling.syllables == 3
     assert [c.time for c in trace.stack] == [1]
 
 
@@ -139,17 +140,28 @@ def test_local_geodesic_growth():
             continue
         if not is_local_geodesic(f_prev, s, w, graph, groups):
             continue
-        trace = WalkTrace.run(graph, groups, [(s, w)])  # fold from f_prev manually
-        # rebuild through the real fold to measure growth
-        from gpdrift.piling import append
-
-        half = append(f_prev, s[0], s[1], graph, groups)
-        full = half
-        for wv, wval in w:
-            full = append(full, wv, wval, graph, groups)
+        half, full = _fold(f_prev, s, w, graph, groups)
         assert f_prev.syllables < half.syllables < full.syllables
         grown += 1
     assert grown > 50
+
+
+def test_piling_after_replays_only_the_first_k_steps(monkeypatch):
+    trace = small_walk(steps=12, seed=3, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
+    full = trace.pilings()[1]
+    calls = 0
+
+    def counting_append(*args):
+        nonlocal calls
+        calls += 1
+        return append(*args)
+
+    monkeypatch.setattr(walk, "append", counting_append)
+    for k in range(trace.n + 1):
+        calls = 0
+        p = trace.piling_after(k)
+        assert calls == sum(1 + len(w) for w in trace.nu_words[:k])
+        assert p == (full[k - 1] if k else piling_of_word([], trace.graph, trace.groups))
 
 
 def test_stack_nesting_invariant():
@@ -243,7 +255,7 @@ def test_strong_choice_implies_local_geodesic():
         w = tuple(random_word(graph, groups, rng.randrange(1, 3), rng))
         if piling_of_word(w, graph, groups).syllables == 0:
             continue
-        if is_strong_pivot_choice(f_prev, s, w, graph, groups):
+        if s[0] in strong_choice_vertices(f_prev, w, graph, groups):
             strong_seen += 1
             assert is_local_geodesic(f_prev, s, w, graph, groups)
     assert strong_seen > 100
@@ -264,8 +276,8 @@ def test_strong_choice_vertex_count_bound():
 def test_strong_choice_rejects_neighbour_of_init():
     f0 = piling_of_word([], G3, Z3)
     # word starts at b; a is adjacent to b, so a is not a strong choice
-    assert not is_strong_pivot_choice(f0, (0, 1), ((1, 1),), G3, Z3)
-    assert is_strong_pivot_choice(f0, (2, 1), ((1, 1),), G3, Z3)
+    assert 0 not in strong_choice_vertices(f0, ((1, 1),), G3, Z3)
+    assert 2 in strong_choice_vertices(f0, ((1, 1),), G3, Z3)
 
 
 def test_pivot_replace_identity():
@@ -275,13 +287,13 @@ def test_pivot_replace_identity():
         trace = run_walk(graph, groups, FixedWord(((0, 1),)), 25, seed)
         for k in trace.pivotal_times():
             s = trace.s_letters[k - 1]
-            if not is_strong_pivot_choice(
-                trace.piling_after(k - 1), s, trace.nu_words[k - 1], graph, groups
+            if s[0] not in strong_choice_vertices(
+                trace.piling_after(k - 1), trace.nu_words[k - 1], graph, groups
             ):
                 continue
             again = pivot_replace(trace, k, s)
             assert again.pivotal_times() == trace.pivotal_times()
-            assert again.piling_after(again.n) == trace.piling_after(trace.n)
+            assert again.piling == trace.piling
             break
 
 
@@ -339,7 +351,7 @@ def test_chain_inequality_and_pivot_growth():
     for seed in range(30):
         trace = run_walk(graph, groups, ParetoLetter(1.2), 30, seed)
         n = trace.n
-        syl = trace.piling_after(n).syllables
+        syl = trace.piling.syllables
         assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
         # the strict chain along pivotal times
