@@ -42,8 +42,8 @@ from .graphs import (
     parse_graph,
 )
 from .groups import groups_from_spec
-from .piling import Word, piling_of_word
-from .walk import FixedWord, ParetoLetter, WordChoice
+from .piling import Word
+from .walk import FixedWord, ParetoLetter, WordChoice, fold
 
 DEFAULT_SEED = 1729
 
@@ -93,7 +93,7 @@ def _parse_word(token: str, graph: Graph, groups) -> Word:
         word.append((v, value))
     if not word:
         raise ValueError("empty word")
-    if piling_of_word(word, graph, groups).syllables == 0:
+    if fold(word, graph, groups).live == 0:
         raise ValueError(f"word {token!r} is the identity")
     return tuple(word)
 

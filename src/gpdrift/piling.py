@@ -15,8 +15,10 @@ run-length counts on the nodes, and the trailing run of each string is
 kept on the piling itself.  There is no cache of leading runs: the rare
 reader that needs one (``init``, and ``is_prefix`` against an empty
 string) walks down to the bottom node of the string.  Appends are O(1)
-per affected string, and the walk machinery can hold thousands of
-snapshots that share structure.
+per affected string, and the pilings replayed from one walk share
+structure.  The walk itself folds its letters into the mutable kernel of
+``walk``; pilings serve replays, the oracles, pivot replacement and the
+walk's rare exact prefix check.
 ``string()`` materializes the conventional letter sequence (``None`` is
 the zero marker, ``(vertex, value)`` a nontrivial letter) for rendering,
 linearization, and invariant checks.
@@ -230,9 +232,9 @@ def is_prefix(p: Piling, q: Piling) -> bool:
     string of ``q`` is walked down to the depth of the matching string of
     ``p`` (an empty string has depth 0), keeping the zero run that follows
     the node reached; the two stacks must then be equal and the trailing
-    run of ``p`` no longer than that run.  Hot path for the walk
-    machinery: when the strings share their top node (the usual case
-    across snapshots of one walk) the check is a couple of comparisons.
+    run of ``p`` no longer than that run.  When the strings share their
+    top node (the usual case across pilings replayed from one walk) the
+    check is a couple of comparisons.
     """
     if p.d != q.d:
         raise ValueError("pilings have different string counts")

@@ -3,25 +3,48 @@
 A walk of n steps multiplies alternately by a letter s_k drawn uniformly
 over the vertex groups and a word w_k from an arbitrary sampler that never
 produces the identity.  The trace stores the letters and words, the
-current piling, the syllable length and candidate count after each step,
-and the stack of candidate pivotal times: a time k stays on the stack
-while its half-step piling remains a prefix of every later half-step and
-full-step piling.  A time that falls off the stack never returns, because
-the prefix requirement quantifies over all intermediate pilings.  Those
-intermediate pilings are not kept; the definition scan and the debug dump
-replay them from the letters and words.
+syllable length and candidate count after each step, and the stack of
+candidate pivotal times: a time k stays on the stack while its half-step
+piling remains a prefix of every later half-step and full-step piling.  A
+time that falls off the stack never returns, because the prefix
+requirement quantifies over all intermediate pilings.  No piling is kept;
+the definition scan, the debug dump and pivot replacement replay them
+from the letters and words.
+
+The walk folds its letters into a :class:`Kernel`, a mutable piling whose
+trailing zero runs are computed from counts, so a letter costs O(deg).
+Every letter on a string carries the clock stamp of its birth, and the
+stack holds ``(time, clock)`` pairs: the clock of time k is the stamp of
+s_k, so the half step of k (its anchor) holds exactly the entries
+stamped at or below that clock.  An anchor stays a prefix through one
+letter unless that letter merges with or cancels an entry the anchor
+holds, so a letter that
+touches an entry pops every anchor whose clock is at or above the
+entry's stamp.  The half step and a one-letter word are exact this way.
 
 Time k is pushed when s_k leaves the terminal clique of the previous
 piling; the other half of the local geodesic condition, that the initial
-clique of w_k misses the terminal clique of the half step, is left to
-the prefix check against the full step.  That check is exact: when
-term(half) misses init(w) the piling of half·w is each string of half
-followed by the same string of w, so half is a prefix; otherwise a letter
-of w meets a terminal letter of half and merges with it or cancels it, so
-half is not.
+clique of w_k misses the terminal clique of the half step, decides
+whether w_k pops it.  That rule is exact: when term(half) misses init(w)
+the piling of half·w is each string of half followed by the same string
+of w, so half is a prefix; otherwise a letter of w meets a terminal
+letter of half and merges with it or cancels it, so half is not.
 
-Anchors on the stack are nested (each is a prefix of the next), so pruning
-inspects only the most recent anchor until one survives.
+A word of several letters may take letters off an anchor and put the
+same letters back (c⁻¹b⁻¹a⁻¹·abcd), so the letterwise stamp test would
+pop anchors that survive the full step.  The letters of w therefore pop
+nothing while they fold; let σ be the lowest stamp among the entries
+they touched that existed before w.
+  * When no anchor's clock reaches σ, every anchor survives.
+  * When only k reaches it, the rule above decides k, with init(w) folded
+    once per distinct word.  If k survives, the letters w rebuilt below
+    the half step's depth get k's clock as their stamp.
+  * Otherwise the anchors whose clock reaches σ are checked exactly: the
+    pilings are replayed, every such anchor that is no prefix of the full
+    step is popped with ``is_prefix``, and each rebuilt letter gets the
+    clock of the oldest surviving anchor that holds it.
+Anchors on the stack are nested (each is a prefix of the next), so the
+survivors are always a bottom part of the stack.
 """
 
 from __future__ import annotations
@@ -126,12 +149,79 @@ class ParetoLetter:
                 return ((v, value),)
 
 
-class _Candidate:
-    __slots__ = ("time", "anchor")
+class Kernel:
+    """A mutable piling: one walk's letters, folded in place.
 
-    def __init__(self, time: int, anchor: Piling):
-        self.time = time
-        self.anchor = anchor
+    String v holds its nontrivial letters bottom to top as entries
+    ``[value, zeros before it, birth stamp]``.  ``cnt[v]`` counts them and
+    ``zsum[v]`` sums their zero runs.  String v holds one zero for every
+    letter at a vertex that is neither v nor adjacent to it, so its
+    trailing run is ``live - cnt[v] - sum(cnt[u] for u ~ v) - zsum[v]``
+    and is never stored; a letter touches only its own string and reads
+    its neighbours' counts.  ``clock`` is the last stamp handed out.
+    """
+
+    __slots__ = ("neighbors", "groups", "strings", "cnt", "zsum", "live", "clock")
+
+    def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
+        self.neighbors = graph.neighbors
+        self.groups = groups
+        self.strings: dict[int, list[list]] = {}
+        self.cnt = [0] * graph.vertex_count
+        self.zsum = [0] * graph.vertex_count
+        self.live = 0  # letters on all strings: the syllable length
+        self.clock = 0
+
+    def tail(self, v: int) -> int:
+        cnt = self.cnt
+        run = self.live - cnt[v] - self.zsum[v]
+        for u in self.neighbors[v]:
+            run -= cnt[u]
+        return run
+
+    def append(self, v: int, value) -> int:
+        """Multiply on the right by one nontrivial letter.  Returns the
+        stamp of the entry the letter merged with or cancelled, or of the
+        entry it started (a stamp above every earlier one)."""
+        c = self.cnt[v]
+        run = self.tail(v)
+        if c and not run:
+            top = self.strings[v][-1]
+            group = self.groups[v]
+            merged = group.multiply(top[0], value)
+            if group.is_identity(merged):
+                self.strings[v].pop()
+                self.cnt[v] = c - 1
+                self.zsum[v] -= top[1]
+                self.live -= 1
+            else:
+                top[0] = merged
+            return top[2]
+        self.clock += 1
+        self.strings.setdefault(v, []).append([value, run, self.clock])
+        self.cnt[v] = c + 1
+        self.zsum[v] += run
+        self.live += 1
+        return self.clock
+
+    def init(self) -> frozenset[int]:
+        """Vertices whose string starts with a nontrivial element."""
+        return frozenset(v for v, entries in self.strings.items() if entries and entries[0][1] == 0)
+
+
+def fold(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> Kernel:
+    """The kernel of a word of nontrivial letters; ``live`` is its
+    syllable length, so 0 exactly for the identity."""
+    kernel = Kernel(graph, groups)
+    for v, value in word:
+        kernel.append(v, value)
+    return kernel
+
+
+def _require_nontrivial(letters, groups: Sequence[VertexGroup]) -> None:
+    for v, value in letters:
+        if groups[v].is_identity(value):
+            raise ValueError("letters must be nontrivial vertex-group elements")
 
 
 def _fold(
@@ -149,12 +239,11 @@ class WalkTrace:
     """One walk's letters and words, its counts, and the live pivotal stack.
 
     Stored: ``s_letters`` and ``nu_words``; ``stack``, the surviving
-    candidates with their half-step anchors; ``piling``, the full-step
-    piling after the last step; and per step k, ``syllable_counts[k-1]``,
-    its syllable length, and ``active_counts[k-1]``, the surviving
-    candidates among times 1..k (the inclusive count the step-increment
-    experiments use).  The other half-step and full-step pilings are
-    replayed on demand by :meth:`pilings`.
+    candidates as ``(time, clock)`` pairs; and per step k,
+    ``syllable_counts[k-1]``, its syllable length, and
+    ``active_counts[k-1]``, the surviving candidates among times 1..k (the
+    inclusive count the step-increment experiments use).  The pilings are
+    replayed on demand by :meth:`pilings` and ``piling``.
     """
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
@@ -162,10 +251,11 @@ class WalkTrace:
         self.groups = tuple(groups)
         self.s_letters: list[MuLetter] = []
         self.nu_words: list[tuple] = []
-        self.stack: list[_Candidate] = []
-        self.piling = empty_piling(graph.vertex_count)
+        self.stack: list[tuple[int, int]] = []
         self.syllable_counts: list[int] = []
         self.active_counts: list[int] = []
+        self._kernel = Kernel(graph, self.groups)
+        self._word_inits: dict[tuple, frozenset[int]] = {}
 
     @classmethod
     def run(
@@ -183,6 +273,11 @@ class WalkTrace:
     def n(self) -> int:
         return len(self.s_letters)
 
+    @property
+    def piling(self) -> Piling:
+        """The full-step piling after the last step, replayed."""
+        return self.piling_after(self.n)
+
     def pilings(self, k: int | None = None) -> tuple[list[Piling], list[Piling]]:
         """Replay the half-step and the full-step piling of each of the
         first k steps (of every step when k is None)."""
@@ -197,40 +292,96 @@ class WalkTrace:
 
     def piling_after(self, k: int) -> Piling:
         """The full-step piling after k steps (k = 0 gives the identity),
-        replayed from the first k steps; ``piling`` holds the last one."""
+        replayed from the first k steps."""
         return self.pilings(k)[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
+
+    def _word_init(self, w: tuple) -> frozenset[int]:
+        """init(w) for a word of several letters, folded once per word;
+        refuses identity letters and identity words."""
+        w_init = self._word_inits.get(w)
+        if w_init is None:
+            _require_nontrivial(w, self.groups)
+            kernel = fold(w, self.graph, self.groups)
+            if not kernel.live:
+                raise ValueError("nu sampler produced a word equal to the identity")
+            w_init = self._word_inits[w] = kernel.init()
+        return w_init
 
     def extend(self, s: MuLetter, w: Word) -> None:
         """Fold one (letter, word) step in and update the pivotal stack."""
         w = tuple(w)
         if not w:
             raise ValueError("nu sampler produced an empty word")
+        if len(w) > 1:
+            _require_nontrivial((s,), self.groups)
+            w_init = self._word_init(w)
+        else:
+            _require_nontrivial((s, w[0]), self.groups)
         k = self.n + 1
-        f_prev = self.piling
-        half, full = _fold(f_prev, s, w, self.graph, self.groups)
-        if full.syllables == half.syllables and full == half:
-            raise ValueError("nu sampler produced a word equal to the identity")
-        self._prune(half)
-        # Push k when s leaves the terminal clique; the prefix check against
-        # the full step then pops it exactly when w eats s (module docstring).
-        if not f_prev.ends_nontrivial(s[0]):
-            self.stack.append(_Candidate(k, half))
-        self._prune(full)
         self.s_letters.append(s)
         self.nu_words.append(w)
-        self.piling = full
-        self.syllable_counts.append(full.syllables)
-        self.active_counts.append(len(self.stack))
+        kernel, stack = self._kernel, self.stack
+        before = kernel.clock
+        stamp = kernel.append(*s)
+        # Push k when s leaves the terminal clique (module docstring).
+        if stamp > before:
+            stack.append((k, stamp))
+        else:
+            while stack and stack[-1][1] >= stamp:
+                stack.pop()
+        if len(w) == 1:
+            stamp = kernel.append(*w[0])
+            while stack and stack[-1][1] >= stamp:
+                stack.pop()
+        else:
+            self._fold_word(k, w, w_init)
+        self.syllable_counts.append(kernel.live)
+        self.active_counts.append(len(stack))
 
-    def _prune(self, piling: Piling) -> None:
-        stack = self.stack
-        while stack and not is_prefix(stack[-1].anchor, piling):
+    def _fold_word(self, k: int, w: tuple, w_init: frozenset[int]) -> None:
+        """The full step for a word of several letters (module docstring)."""
+        kernel, stack, cnt = self._kernel, self.stack, self._kernel.cnt
+        clock_k = kernel.clock
+        k_pushed = bool(stack) and stack[-1][0] == k
+        # whether a vertex of init(w) ends nontrivially in the half step
+        w_eats_s = k_pushed and any(cnt[u] and not kernel.tail(u) for u in w_init)
+        sigma = clock_k + 1
+        start: dict[int, int] = {}  # string length at the half step
+        low: dict[int, int] = {}  # lowest position w took a letter off
+        for v, value in w:
+            c = cnt[v]
+            stamp = kernel.append(v, value)
+            if stamp <= clock_k:
+                sigma = min(sigma, stamp)
+                start.setdefault(v, c)
+                low[v] = min(low.get(v, c), cnt[v])
+        if not stack or stack[-1][1] < sigma:
+            return
+        strings = kernel.strings
+        if k_pushed and (len(stack) == 1 or stack[-2][1] < sigma):
+            if w_eats_s:
+                stack.pop()
+            else:
+                for v, lo in low.items():
+                    for entry in strings[v][lo : start[v]]:
+                        entry[2] = clock_k
+            return
+        half, full = self.pilings()
+        while stack and stack[-1][1] >= sigma and not is_prefix(half[stack[-1][0] - 1], full[-1]):
             stack.pop()
+        held = [(half[t - 1], clock) for t, clock in stack if clock >= sigma]
+        for v, lo in low.items():
+            depths = [(sum(x is not None for x in h.string(v)), clock) for h, clock in held]
+            for i, entry in enumerate(strings[v][lo:], start=lo):
+                clock = next((clock for depth, clock in depths if depth > i), None)
+                if clock is None:
+                    break
+                entry[2] = clock
 
     def pivotal_times(self) -> tuple[int, ...]:
         """Times pivotal with respect to the walk length (strictly before it)."""
         n = self.n
-        return tuple(c.time for c in self.stack if c.time < n)
+        return tuple(t for t, _ in self.stack if t < n)
 
     def to_debug_json(self) -> dict:
         labels = self.graph.labels

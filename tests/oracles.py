@@ -52,6 +52,44 @@ def tuple_is_prefix(p_strings, q_strings) -> bool:
     return all(q[: len(p)] == p for p, q in zip(p_strings, q_strings))
 
 
+def naive_walk(steps, graph: Graph, groups):
+    """Syllable counts, active counts and pivotal times after each step of
+    a walk, straight from the definitions on materialized strings.
+
+    Time i is a candidate after step k >= i when it is a local geodesic
+    (s_i leaves the terminal clique of the previous full step and the
+    initial clique of w_i misses the terminal clique of the half step) and
+    the half step of i is a prefix of every half and full step from i to k.
+    """
+    def term(strings):
+        return {v for v, s in enumerate(strings) if s and s[-1] is not None}
+
+    f = naive_empty(graph.vertex_count)
+    halves, fulls, geodesic = [], [], []
+    for (v, value), w in steps:
+        h = naive_append(f, v, value, graph, groups)
+        w_strings = naive_piling(w, graph, groups)
+        w_init = {u for u, s in enumerate(w_strings) if s and s[0] is not None}
+        geodesic.append(v not in term(f) and not (w_init & term(h)))
+        f = h
+        for wv, wval in w:
+            f = naive_append(f, wv, wval, graph, groups)
+        halves.append(h)
+        fulls.append(f)
+
+    def candidate(i, k):
+        anchor = halves[i - 1]
+        return geodesic[i - 1] and all(
+            tuple_is_prefix(anchor, p) for j in range(i - 1, k) for p in (halves[j], fulls[j])
+        )
+
+    horizons = range(1, len(steps) + 1)
+    syllables = [sum(x is not None for s in p for x in s) for p in fulls]
+    active = [sum(candidate(i, k) for i in range(1, k + 1)) for k in horizons]
+    pivotal = [[i for i in range(1, k) if candidate(i, k)] for k in horizons]
+    return syllables, active, pivotal
+
+
 # --- word-level rewriting: BFS over swaps, merges, cancellations ---
 
 def min_syllable_bfs(word, graph: Graph, groups) -> int:

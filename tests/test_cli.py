@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gpdrift.cli import DEFAULT_SEED, main
 
@@ -314,3 +317,96 @@ def test_graph_json_field_types_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "stats", "--graph", str(path))
         assert code == 2 and err.startswith("error: "), (doc, err)
+
+
+# Pinned output hashes.  They were taken before the walk kernel replaced the
+# piling-anchor stack, so a later change to the walk machinery cannot alter
+# a CSV or a summary line unseen.
+GOLDEN_GRAPH = {
+    "vertices": ["a", "b", "c", "d", "e", "f", "g", "h"],
+    "edges": [[0, 4], [1, 5], [4, 5], [2, 6], [6, 7], [3, 7]],
+}
+GOLDEN_GROUPS = "z,zmod:2,zmod:3,z,zmod:2,zmod:3,z,zmod:2"
+# a, b, c, d are pairwise non-adjacent: the first word takes letters off
+# and puts them back
+GOLDEN_WORDS = "c^-1,b^-1,a^-1,a^1,b^1,c^1,d^1\ne^1,f^2\na^1\ng^-1,h^1,g^1\n"
+GOLDEN_EDGELESS_WORDS = "v2^-1,v1^-1,v0^-1,v0^1,v1^1,v2^1,v3^1\nv4^1,v5^2\nv6^1\n"
+GOLDEN_CASES = {
+    "readme_simulate": ["simulate", "--family", "cycle", "--D", "50", "--n", "60", "--trials", "80"],
+    "readme_check": ["check", "--family", "cycle", "--D", "50", "--n", "40", "--trials", "150"],
+    "pareto_simulate": [
+        "simulate", "--family", "cycle", "--D", "50", "--n", "60", "--trials", "40",
+        "--nu", "pareto:1.1",
+    ],
+    "list_simulate_mixed": [
+        "simulate", "--graph", "graph.json", "--groups", GOLDEN_GROUPS,
+        "--nu", "list:words.txt", "--n", "40", "--trials", "60",
+    ],
+    "list_check_mixed": [
+        "check", "--family", "edgeless", "--D", "7", "--groups", "z,zmod:2,zmod:3,z,zmod:2,zmod:3,z",
+        "--nu", "list:edgeless_words.txt", "--n", "30", "--trials", "100",
+    ],
+}
+GOLDEN_SHA256 = {
+    "list_check_mixed": (
+        0,
+        "89927b5cd0914d2a16431690df37a66a553a9b433e55d698f8abf589c3493bb8",
+        "4f83a9efd3f00c0d109f635b2adc477102148e9c4c4abe599b43aba43ed70e27",
+    ),
+    "list_simulate_mixed": (
+        0,
+        "7373dd0b9f5422f39e8f0e6157a32944f8178196ccf1d4004620a8edd821411a",
+        "6ff577215b207c8c502dcf9513853d7103219a66d41dec79818ee8c6cb687b09",
+    ),
+    "pareto_simulate": (
+        0,
+        "34efd6ef57cdf1754051130f7b9c7efcc19536717f796bad60f9fd21799a5e22",
+        "23b021e1522d18f9c143ff6950f1c9879e4307ccd4168679916ee886ad86d4a4",
+    ),
+    "readme_check": (
+        0,
+        "c62d3b1391243043779546d94ef8e4a6c50912ca1a121ebbb83d8c94983de49e",
+        "6ebc8ce1616cfa15136683f30c053696263adc2290fa20395a20b42b3ce07237",
+    ),
+    "readme_simulate": (
+        0,
+        "647e39816150c6eed26f49747107f8e481f30e318aa82e578238967fdaa0f562",
+        "baa8265a181692fc9c25d0dc692d423fc1aca0104bf53bb9bc18714f44b06623",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_golden_output_bytes(case, workers, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GPDRIFT_WORKERS", workers)
+    (tmp_path / "graph.json").write_text(json.dumps(GOLDEN_GRAPH))
+    (tmp_path / "words.txt").write_text(GOLDEN_WORDS)
+    (tmp_path / "edgeless_words.txt").write_text(GOLDEN_EDGELESS_WORDS)
+    code = main(GOLDEN_CASES[case] + ["--output", "out.csv"])
+    stdout = capsys.readouterr().out.encode()
+    digests = (
+        code,
+        hashlib.sha256(stdout).hexdigest(),
+        hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest(),
+    )
+    assert digests == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("nu", ["fixed:v0^1,v1^-1", "pareto:1.1"])
+def test_simulate_never_builds_the_nonneighbour_table(nu, tmp_path, capsys, monkeypatch):
+    # the table is quadratic in D; parsing words and folding walks use
+    # neighbour counts instead
+    from gpdrift.graphs import Graph
+
+    def refuse(graph):
+        raise AssertionError("Graph.nonneighbors was built")
+
+    monkeypatch.setattr(Graph, "nonneighbors", property(refuse))
+    code, out, err = run_cli(
+        capsys, "simulate", "--family", "cycle", "--D", "3000", "--n", "5", "--trials", "2",
+        "--nu", nu, "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 0, err
+    assert json.loads(out)["trials"] == 2

@@ -1,17 +1,21 @@
 """Property tests for the pivotal stack, over random graphs, mixed groups
-and multi-letter words.
+and multi-letter words: the walk kernel against the definition scan on
+replayed pilings and against the naive strings of ``oracles``.
 
 Settings are fixed and derandomized so every run draws the same examples,
 and no example database is written.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpdrift.graphs import make_graph
-from gpdrift.groups import CyclicGroup, IntegerGroup
+from gpdrift.graphs import edgeless_graph, make_graph
+from gpdrift.groups import CyclicGroup, IntegerGroup, groups_from_spec
 from gpdrift.piling import append, init, is_prefix, piling_of_word
-from gpdrift.walk import WalkTrace, pivotal_times_bruteforce
+from gpdrift.walk import FixedWord, WalkTrace, WordChoice, pivotal_times_bruteforce, run_walk
+
+from oracles import naive_walk
 
 PROPERTY_SETTINGS = dict(
     derandomize=True,
@@ -96,21 +100,78 @@ def test_word_clause_iff_half_is_prefix_of_full(data):
     assert clause == is_prefix(half, full)
 
 
+def assert_three_way(graph, groups, steps) -> WalkTrace:
+    """Fold the steps one by one: after each, the kernel's pivotal times
+    equal the definition scan on replayed pilings and the naive strings,
+    and so do its syllable and active counts."""
+    syllables, active, pivotal = naive_walk(steps, graph, groups)
+    trace = WalkTrace(graph, groups)
+    for (s, w), expected in zip(steps, pivotal):
+        trace.extend(s, w)
+        assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace) == expected
+    assert trace.syllable_counts == syllables
+    assert trace.active_counts == active
+    return trace
+
+
 @settings(max_examples=100, **PROPERTY_SETTINGS)
 @given(steps_on_a_graph(max_steps=20))
 def test_incremental_stack_matches_bruteforce_at_every_horizon(case):
     graph, groups, steps = case
-    trace = WalkTrace(graph, groups)
+    trace = assert_three_way(graph, groups, steps)
+    # the replayed pilings are the normal forms of the flattened step
+    # prefixes and carry the stored counts
+    half, full = trace.pilings()
+    assert trace.syllable_counts == [p.syllables for p in full]
     letters_so_far = []
-    for s, w in steps:
-        trace.extend(s, w)
-        assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
-        # the replayed pilings end at the stored one, carry the stored
-        # counts, and are the normal forms of the flattened step prefixes
-        half, full = trace.pilings()
-        assert full[-1] == trace.piling
-        assert trace.syllable_counts == [p.syllables for p in full]
+    for (s, w), h, f in zip(steps, half, full):
         letters_so_far.append(s)
-        assert half[-1] == piling_of_word(letters_so_far, graph, groups)
+        assert h == piling_of_word(letters_so_far, graph, groups)
         letters_so_far.extend(w)
-        assert full[-1] == piling_of_word(letters_so_far, graph, groups)
+        assert f == piling_of_word(letters_so_far, graph, groups)
+
+
+MIXED6 = groups_from_spec("z,zmod:2,zmod:3,z,zmod:2,zmod:3", 6)
+
+
+def destroy_and_rebuild(groups):
+    """c⁻¹b⁻¹a⁻¹·abcd on a, b, c, d = 0, 1, 2, 3: it takes letters off
+    the walk and puts the same letters back."""
+    return tuple((v, groups[v].from_int(k)) for v, k in ((2, -1), (1, -1), (0, -1), (0, 1), (1, 1), (2, 1), (3, 1)))
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        FixedWord(destroy_and_rebuild(MIXED6)),
+        WordChoice([destroy_and_rebuild(MIXED6), ((4, 1),), ((5, 2), (0, 1))]),
+    ],
+)
+def test_destroy_and_rebuild_word(nu):
+    # the letterwise stamp test alone would pop the older anchors this
+    # word rebuilds
+    graph = edgeless_graph(6)
+    for seed in range(30):
+        trace = run_walk(graph, MIXED6, nu, 25, seed)
+        assert_three_way(graph, MIXED6, list(zip(trace.s_letters, trace.nu_words)))
+
+
+@pytest.mark.parametrize(
+    "labels, edges, steps",
+    [
+        # step 2 draws v with the word v⁻¹·v·u, u ~ v: v's entry is rebuilt
+        # and time 2 survives; step 3's v merges with the rebuilt entry
+        ("vux", [(0, 1)], [(2, 1, ((2, 1),)), (0, 1, ((0, -1), (0, 1), (1, 1))),
+                           (1, -1, ((0, 1),)), (2, 1, ((2, 1),))]),
+        # the same with an entry below s: step 2's word rebuilds step 1's
+        # b, which step 3's b merges with
+        ("abcd", [(1, 2)], [(0, 1, ((1, 1),)), (2, 1, ((1, -1), (1, 1), (3, 1))),
+                            (3, -1, ((1, 1),)), (0, 1, ((3, 1),))]),
+    ],
+)
+def test_rebuilt_entries_keep_the_anchor_stamp(labels, edges, steps):
+    graph = make_graph(list(labels), edges)
+    groups = (IntegerGroup(),) * len(labels)
+    trace = assert_three_way(graph, groups, [((v, x), w) for v, x, w in steps])
+    assert 2 not in trace.pivotal_times()
+

@@ -106,14 +106,14 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     trace = WalkTrace.run(G3, Z3, steps)
     assert not is_local_geodesic(trace.piling_after(1), *steps[1], G3, Z3)
     assert trace.piling.syllables == 2
-    assert [c.time for c in trace.stack] == [1]
+    assert [t for t, _ in trace.stack] == [1]
     assert trace.active_counts == [1, 1]
     assert trace.pivotal_times() == (1,)
     assert pivotal_times_bruteforce(trace) == [1]
     # the same word after s = a^2 merges into it instead of cancelling
     trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
     assert trace.pilings()[0][1].syllables == 3 and trace.piling.syllables == 3
-    assert [c.time for c in trace.stack] == [1]
+    assert [t for t, _ in trace.stack] == [1]
 
 
 def test_is_local_geodesic_cases():
@@ -165,12 +165,12 @@ def test_piling_after_replays_only_the_first_k_steps(monkeypatch):
 
 
 def test_stack_nesting_invariant():
-    rng = Random(32)
     for seed in range(30):
         trace = small_walk(steps=40, seed=seed, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
-        for lower, upper in zip(trace.stack, trace.stack[1:]):
-            assert lower.time < upper.time
-            assert is_prefix(lower.anchor, upper.anchor)
+        half = trace.pilings()[0]
+        for (lower, lower_clock), (upper, upper_clock) in zip(trace.stack, trace.stack[1:]):
+            assert lower < upper and lower_clock < upper_clock
+            assert is_prefix(half[lower - 1], half[upper - 1])
 
 
 @pytest.mark.parametrize(
@@ -210,9 +210,10 @@ def test_incremental_matches_bruteforce_random_graphs():
 
 
 def test_identity_nu_word_rejected():
-    nu = FixedWord(((2, 1), (2, -1)))
-    with pytest.raises(ValueError, match="identity"):
-        small_walk(graph=G3, groups=Z3, nu=nu, steps=3)
+    # the second word is the identity only because a and b commute
+    for word in (((2, 1), (2, -1)), ((0, 1), (1, 1), (0, -1), (1, -1))):
+        with pytest.raises(ValueError, match="^nu sampler produced a word equal to the identity$"):
+            small_walk(graph=G3, groups=Z3, nu=FixedWord(word), steps=3)
 
 
 def test_empty_nu_word_rejected():
@@ -440,3 +441,25 @@ def test_pareto_alpha_must_be_finite_and_not_tiny():
     for alpha in (math.nan, math.inf, -1.0, 0.0, 0.005):
         with pytest.raises(ValueError, match="finite number of at least"):
             ParetoLetter(alpha)
+
+
+@pytest.mark.parametrize("nu", [FixedWord(((0, 1),)), ParetoLetter(1.1)])
+def test_one_letter_walks_never_replay_pilings(nu, monkeypatch):
+    # one-letter words are decided by the stamps alone: no piling is built
+    # and no prefix is checked while the walk runs
+    calls = {"append": 0, "is_prefix": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(walk, "append", counting("append", append))
+    monkeypatch.setattr(walk, "is_prefix", counting("is_prefix", is_prefix))
+    graph = cycle_graph(50)
+    groups = uniform_groups(50)
+    for seed in range(20):
+        trace = run_walk(graph, groups, nu, 200, seed)
+        assert trace.active_counts[-1] > 0
+    assert calls == {"append": 0, "is_prefix": 0}
