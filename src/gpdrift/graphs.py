@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -176,14 +177,8 @@ def complete_graph(d: int) -> Graph:
     )
 
 
-def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
-    """Bron-Kerbosch enumeration of maximal cliques, with pivoting.
-
-    Exact and fast enough for the intended inputs: either small dense
-    graphs or large sparse ones (cycles), where the branch factor stays
-    tiny.
-    """
-    neighbors = g.neighbors
+def _cliques(neighbors, vertices: Iterable[int]) -> Iterator[frozenset[int]]:
+    """Pivoted Bron-Kerbosch on ``vertices`` with neighbour sets ``neighbors``."""
 
     def expand(clique: frozenset[int], candidates: set[int], excluded: set[int]):
         if not candidates and not excluded:
@@ -197,23 +192,38 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
             candidates.discard(v)
             excluded.add(v)
 
-    yield from expand(frozenset(), set(range(g.vertex_count)), set())
+    yield from expand(frozenset(), set(vertices), set())
+
+
+def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
+    """Bron-Kerbosch enumeration of maximal cliques, with pivoting."""
+    return _cliques(g.neighbors, range(g.vertex_count))
 
 
 def graph_stats(g: Graph) -> GraphStats:
     """D, the maximum clique size C, and B, the largest closed
-    1-neighbourhood over all (nonempty) cliques, from one enumeration.
+    1-neighbourhood over all (nonempty) cliques.
 
-    The closed neighbourhood of a clique contains the clique itself, so a
-    single edge in a 5-cycle already reaches 4 vertices.  Both maps are
-    monotone under clique inclusion, so maximal cliques suffice.
+    Both maps are monotone under clique inclusion, so maximal cliques
+    suffice, and besides isolated vertices (C = B = 1) they come in two
+    kinds.  An edge ``{u, v}`` whose ends share no neighbour is a maximal
+    2-clique with ``|N[K]| = deg u + deg v``.  Every other edge lies in a
+    triangle, and the maximal cliques of 3 or more vertices are exactly
+    those of the subgraph H of such edges: a vertex extending one has all
+    its edges into it in triangles.  So Bron-Kerbosch runs on H alone.
     """
-    c = b = 0
-    for clique in maximal_cliques(g):
-        closed = set(clique)
-        for v in clique:
-            closed |= g.neighbors[v]
+    neighbors = g.neighbors
+    c = b = 1
+    h: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in g.edges:
+        if neighbors[u].isdisjoint(neighbors[v]):
+            c = 2
+            b = max(b, len(neighbors[u]) + len(neighbors[v]))
+        else:
+            h[u].add(v)
+            h[v].add(u)
+    for clique in _cliques(h, h) if h else ():
         c = max(c, len(clique))
-        b = max(b, len(closed))
+        b = max(b, len(clique.union(*(neighbors[v] for v in clique))))
     d = g.vertex_count
     return GraphStats(d, c, b, d > 3 * b + 2 * c)

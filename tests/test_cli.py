@@ -410,3 +410,54 @@ def test_simulate_never_builds_the_nonneighbour_table(nu, tmp_path, capsys, monk
     )
     assert code == 0, err
     assert json.loads(out)["trials"] == 2
+
+
+# Pinned bytes of the bound commands, taken before the clique statistics
+# moved to one edge pass, so a later change to them cannot alter an output
+# unseen.  The graph is a 30-cycle with chords that close four triangles,
+# two of them sharing the edge (6, 7).
+GOLDEN_TRIANGLES_GRAPH = {
+    "vertices": [f"t{i}" for i in range(30)],
+    "edges": [[i, (i + 1) % 30] for i in range(30)] + [[0, 2], [5, 7], [6, 8], [10, 12], [20, 22]],
+}
+GOLDEN_BOUND_CASES = {
+    "sweep_default": ["sweep", "--output", "out.csv"],
+    "stats_cycle17": ["stats", "--family", "cycle", "--D", "17"],
+    "kappa_cycle17": ["kappa", "--family", "cycle", "--D", "17"],
+    "stats_cycle12000": ["stats", "--family", "cycle", "--D", "12000"],
+    "kappa_cycle12000": ["kappa", "--family", "cycle", "--D", "12000"],
+    "stats_complete6": ["stats", "--family", "complete", "--D", "6"],
+    "kappa_complete6": ["kappa", "--family", "complete", "--D", "6"],
+    "stats_triangles": ["stats", "--graph", "triangles.json"],
+    "kappa_triangles": ["kappa", "--graph", "triangles.json"],
+}
+GOLDEN_BOUND_SHA256 = {
+    "kappa_complete6": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
+    "kappa_cycle12000": (0, "c5bfe24159d64e5b6f7c6b1258893167f3b15cad69a0c971ded8ec71e8856802", None),
+    "kappa_cycle17": (0, "625a01a7d77b6205547b62d671243f0834526e2c71999bc468c0189bdd28affe", None),
+    "kappa_triangles": (0, "ec4cf6c60b25615fa36e30e654fbd2eb891bb8f1092b21cb5a6a687f97cb0842", None),
+    "stats_complete6": (0, "27db9630ad4e644cf26d2007781834686885d2946ab836ac2f71b61971cb154b", None),
+    "stats_cycle12000": (0, "72caf23c16d3fd4da301d0d1477ec889566a18164ab8a718e1cde2d476184017", None),
+    "stats_cycle17": (0, "8501eced013d2d81d726d17e5c34226ab09f7abe220e1b957abff09e94b944c8", None),
+    "stats_triangles": (0, "b6a4a8681831157910a590c439e5a0703a434dc71a6fcc9273acfb2fd0e8f72d", None),
+    "sweep_default": (
+        0,
+        "fbaff0c4bc838f01c7fbae0d9871652d0faa24e8abfcb787f4e8f5a3e9bda24b",
+        "17d65fdc768f7dc68a595f002aef5a6a39cd093b596f2ef2b06e5d66bd20cb9f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BOUND_CASES))
+def test_golden_bound_bytes(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triangles.json").write_text(json.dumps(GOLDEN_TRIANGLES_GRAPH))
+    code = main(GOLDEN_BOUND_CASES[case])
+    stdout = capsys.readouterr().out.encode()
+    csv = tmp_path / "out.csv"
+    digests = (
+        code,
+        hashlib.sha256(stdout).hexdigest(),
+        hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None,
+    )
+    assert digests == GOLDEN_BOUND_SHA256[case]

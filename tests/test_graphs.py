@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import gpdrift.graphs as graphs
 from gpdrift.graphs import (
     complete_graph,
     cycle_graph,
@@ -147,6 +148,99 @@ def test_neighbourhood_against_bruteforce():
     for d in (11, 12):
         g = random_graph(d, 0.35, rng)
         assert graph_stats(g).max_neighbourhood == max_neighbourhood_bruteforce(g)
+
+
+def _permuted(g, rng):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return make_graph(g.labels, [(perm[i], perm[j]) for i, j in g.edges])
+
+
+def _assert_stats_match_bruteforce(g):
+    s = graph_stats(g)
+    assert (s.max_clique, s.max_neighbourhood) == (
+        max_clique_bruteforce(g),
+        max_neighbourhood_bruteforce(g),
+    ), g.edges
+
+
+def test_edge_pass_stats_against_bruteforce():
+    # densities spread evenly over [0, 1]; the edge pass visits edges in
+    # index order, so each graph is also checked under a random relabelling
+    rng = Random(2027)
+    for k in range(120):
+        g = random_graph(rng.randrange(1, 13), k / 119, rng)
+        _assert_stats_match_bruteforce(g)
+        _assert_stats_match_bruteforce(_permuted(g, rng))
+
+
+def _hubs_and_k4():
+    # hubs 0 and 1 with five leaves each share no neighbour; K4 on 12..15
+    edges = [(0, 1)] + [(0, j) for j in range(2, 7)] + [(1, j) for j in range(7, 12)]
+    return 16, edges + [(i, j) for i in range(12, 16) for j in range(i + 1, 16)]
+
+
+@pytest.mark.parametrize(
+    "name, shape, expected",
+    [
+        # B from the lone hub edge (6 + 6), C from the K4
+        ("hubs_and_k4", _hubs_and_k4(), (4, 12)),
+        ("cycle_with_chord", (8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 2)]), (3, 5)),
+        ("triangle_with_paths", (9, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (1, 6), (6, 7), (2, 8)]), (3, 6)),
+        (
+            "k4_sharing_star_centre",
+            (10, [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, j) for j in range(4, 10)]),
+            (4, 10),
+        ),
+    ],
+)
+def test_mixed_graph_stats(name, shape, expected):
+    d, edges = shape
+    g = make_graph([f"v{i}" for i in range(d)], edges)
+    rng = Random(name)
+    for h in (g, _permuted(g, rng), _permuted(g, rng)):
+        s = graph_stats(h)
+        assert (s.max_clique, s.max_neighbourhood) == expected
+        _assert_stats_match_bruteforce(h)
+
+
+def _count_clique_searches(monkeypatch):
+    searched = []
+    real = graphs._cliques
+
+    def counting(neighbors, vertices):
+        searched.append(set(vertices))
+        return real(neighbors, vertices)
+
+    monkeypatch.setattr(graphs, "_cliques", counting)
+    return searched
+
+
+def test_triangle_free_graphs_skip_the_clique_search(monkeypatch):
+    searched = _count_clique_searches(monkeypatch)
+    assert graph_stats(cycle_graph(12000)) == graphs.GraphStats(12000, 2, 4, True)
+    rng = Random(5)
+    d, edges = 300, []
+    nbrs = [set() for _ in range(300)]
+    for _ in range(900):
+        i, j = rng.sample(range(d), 2)
+        if nbrs[i].isdisjoint(nbrs[j]) and j not in nbrs[i]:
+            edges.append((i, j))
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    g = make_graph([f"v{i}" for i in range(d)], edges)
+    s = graph_stats(g)
+    assert s.max_clique == 2
+    assert s.max_neighbourhood == max(len(nbrs[i]) + len(nbrs[j]) for i, j in edges)
+    assert searched == []
+
+
+def test_one_triangle_searches_only_its_vertices(monkeypatch):
+    searched = _count_clique_searches(monkeypatch)
+    g = make_graph([f"v{i}" for i in range(40)], [(i, i + 1) for i in range(39)] + [(10, 12)])
+    s = graph_stats(g)
+    assert (s.max_clique, s.max_neighbourhood) == (3, 5)
+    assert searched == [{10, 11, 12}]
 
 
 def test_stats_ordering_invariant():
