@@ -21,9 +21,11 @@ class Graph:
     """Simple undirected graph with labelled vertices.
 
     ``edges`` is normalized: each pair stored once as ``(i, j)`` with
-    ``i < j``, sorted.  Build instances with :func:`make_graph`,
-    :func:`parse_graph`, or one of the family constructors so the
-    invariants (no self-loops, indices in range) are enforced.
+    ``i < j``, sorted, with no self-loops and every index in range.  The
+    family constructors (:func:`cycle_graph`, :func:`complete_graph`,
+    :func:`edgeless_graph`) produce normalized edges by construction;
+    :func:`make_graph` and :func:`parse_graph` validate and normalize
+    outside input.  Build instances through one of them.
     """
 
     labels: tuple[str, ...]
@@ -35,11 +37,17 @@ class Graph:
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in self.labels]
+        """Per vertex: its adjacent vertices.
+
+        Built in one pass over ``edges``, appending both ends to per-vertex
+        lists that are frozen at the end; normalized edges hold no
+        duplicates, so the lists need no set semantics while they grow.
+        """
+        adj: list[list[int]] = [[] for _ in self.labels]
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(frozenset(s) for s in adj)
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(frozenset, adj))
 
     @cached_property
     def nonneighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -156,43 +164,67 @@ def parse_graph(text: str) -> Graph:
     return make_graph([f"v{i}" for i in range(top + 1)], edges)
 
 
+def _labels(d: int) -> tuple[str, ...]:
+    return tuple([f"v{i}" for i in range(d)])
+
+
 def cycle_graph(d: int) -> Graph:
     if d < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return make_graph([f"v{i}" for i in range(d)], [(i, (i + 1) % d) for i in range(d)])
+    # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
+    return Graph(_labels(d), ((0, 1), (0, d - 1), *zip(range(1, d - 1), range(2, d))))
 
 
 def edgeless_graph(d: int) -> Graph:
     if d < 1:
         raise ValueError("graph needs at least one vertex")
-    return make_graph([f"v{i}" for i in range(d)], [])
+    return Graph(_labels(d), ())
 
 
 def complete_graph(d: int) -> Graph:
     if d < 1:
         raise ValueError("graph needs at least one vertex")
-    return make_graph(
-        [f"v{i}" for i in range(d)],
-        [(i, j) for i in range(d) for j in range(i + 1, d)],
-    )
+    return Graph(_labels(d), tuple([(i, j) for i in range(d) for j in range(i + 1, d)]))
 
 
 def _cliques(neighbors, vertices: Iterable[int]) -> Iterator[frozenset[int]]:
-    """Pivoted Bron-Kerbosch on ``vertices`` with neighbour sets ``neighbors``."""
+    """Pivoted Bron-Kerbosch on ``vertices`` with neighbour sets ``neighbors``.
 
-    def expand(clique: frozenset[int], candidates: set[int], excluded: set[int]):
-        if not candidates and not excluded:
+    Branches wait on an explicit stack, so a clique may have more vertices
+    than the recursion limit allows frames.  A branch leaves the stack when
+    its last child starts, since nothing of it is read again: the chain of
+    single-child branches of a large complete graph holds one frame, not
+    one per clique vertex.  The pivot is the first candidate with the most
+    candidate neighbours; the scan stops at a candidate adjacent to all the
+    others, which no candidate can beat.
+    """
+    stack = []
+    clique, candidates, excluded = frozenset(), set(vertices), set()
+    while True:
+        if candidates:
+            best, pivot, covers_all = -1, None, len(candidates) - 1
+            for u in candidates:
+                k = len(candidates & neighbors[u])
+                if k > best:
+                    best, pivot = k, u
+                    if k == covers_all:
+                        break
+            todo = list(candidates - neighbors[pivot])
+            todo.reverse()  # pop() then takes the branches in set order
+            stack.append((clique, candidates, excluded, todo))
+        elif not excluded:
             yield clique
+        if not stack:
             return
-        pivot = max(candidates or excluded, key=lambda u: len(candidates & neighbors[u]))
-        for v in list(candidates - neighbors[pivot]):
-            yield from expand(
-                clique | {v}, candidates & neighbors[v], excluded & neighbors[v]
-            )
-            candidates.discard(v)
-            excluded.add(v)
-
-    yield from expand(frozenset(), set(vertices), set())
+        parent, p, x, todo = stack[-1]
+        v = todo.pop()
+        nv = neighbors[v]
+        clique, candidates, excluded = parent | {v}, p & nv, x & nv
+        if todo:
+            p.discard(v)
+            x.add(v)
+        else:
+            stack.pop()
 
 
 def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
@@ -216,9 +248,11 @@ def graph_stats(g: Graph) -> GraphStats:
     c = b = 1
     h: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in g.edges:
-        if neighbors[u].isdisjoint(neighbors[v]):
+        nu, nv = neighbors[u], neighbors[v]
+        if nu.isdisjoint(nv):
             c = 2
-            b = max(b, len(neighbors[u]) + len(neighbors[v]))
+            if len(nu) + len(nv) > b:
+                b = len(nu) + len(nv)
         else:
             h[u].add(v)
             h[v].add(u)

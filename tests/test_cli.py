@@ -18,6 +18,12 @@ def test_stats_seventeen_cycle(capsys):
     assert json.loads(out) == {"D": 17, "C": 2, "B": 4, "small_cliques": True}
 
 
+def test_stats_complete_graph_beyond_the_recursion_limit(capsys):
+    code, out, _ = run_cli(capsys, "stats", "--family", "complete", "--D", "1100")
+    assert code == 0
+    assert out == '{"D": 1100, "C": 1100, "B": 1100, "small_cliques": false}\n'
+
+
 def test_stats_from_file(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(

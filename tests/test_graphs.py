@@ -1,10 +1,12 @@
 import json
+import sys
 import warnings
 from random import Random
 
 import pytest
 
 import gpdrift.graphs as graphs
+from gpdrift.cli import main
 from gpdrift.graphs import (
     complete_graph,
     cycle_graph,
@@ -111,6 +113,50 @@ def test_cycle_family_stats():
         s = graph_stats(cycle_graph(d))
         assert (s.vertex_count, s.max_clique, s.max_neighbourhood) == (d, 2, 4)
         assert s.small_cliques == (d > 16)
+
+
+def _assert_same_graph(g, h):
+    assert (g.labels, g.edges, g.neighbors) == (h.labels, h.edges, h.neighbors)
+
+
+def test_family_constructors_match_make_graph():
+    # the family constructors skip make_graph's validation, so their edges
+    # must come out exactly as make_graph would normalize them
+    for d in range(3, 201):
+        labels = [f"v{i}" for i in range(d)]
+        _assert_same_graph(cycle_graph(d), make_graph(labels, [(i, (i + 1) % d) for i in range(d)]))
+    for d in range(1, 31):
+        labels = [f"v{i}" for i in range(d)]
+        edges = [(j, i) for i in range(d) for j in range(i)]
+        _assert_same_graph(complete_graph(d), make_graph(labels, edges))
+    for d in range(1, 51):
+        _assert_same_graph(edgeless_graph(d), make_graph([f"v{i}" for i in range(d)], []))
+
+
+def test_neighbors_match_adjacency_scan():
+    rng = Random(31)
+    for _ in range(50):
+        g = random_graph(rng.randrange(1, 25), rng.random(), rng)
+        edges = set(g.edges)
+        assert g.neighbors == tuple(
+            frozenset(j for j in range(g.vertex_count) if (min(i, j), max(i, j)) in edges)
+            for i in range(g.vertex_count)
+        )
+
+
+def test_sweep_builds_no_graph_through_make_graph(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = graphs.make_graph
+
+    def counting(labels, edges):
+        calls.append(1)
+        return real(labels, edges)
+
+    monkeypatch.setattr(graphs, "make_graph", counting)
+    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
+                 "--output", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_maximal_cliques_are_maximal_cliques():
@@ -241,6 +287,17 @@ def test_one_triangle_searches_only_its_vertices(monkeypatch):
     s = graph_stats(g)
     assert (s.max_clique, s.max_neighbourhood) == (3, 5)
     assert searched == [{10, 11, 12}]
+
+
+def test_clique_search_needs_no_frame_per_clique_vertex():
+    g = complete_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        cliques = list(graphs._cliques(g.neighbors, range(g.vertex_count)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [frozenset(range(300))]
 
 
 def test_stats_ordering_invariant():
