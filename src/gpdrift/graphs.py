@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -240,13 +239,15 @@ def graph_stats(g: Graph) -> GraphStats:
     suffice, and besides isolated vertices (C = B = 1) they come in two
     kinds.  An edge ``{u, v}`` whose ends share no neighbour is a maximal
     2-clique with ``|N[K]| = deg u + deg v``.  Every other edge lies in a
-    triangle, and the maximal cliques of 3 or more vertices are exactly
-    those of the subgraph H of such edges: a vertex extending one has all
-    its edges into it in triangles.  So Bron-Kerbosch runs on H alone.
+    triangle; let T be the vertices of such edges.  The maximal cliques of
+    3 or more vertices are exactly those of the subgraph induced on T: a
+    vertex extending one lies on triangle edges itself.  The other maximal
+    cliques of that subgraph are edges whose ends share no neighbour, which
+    give the same ``deg u + deg v``.  So Bron-Kerbosch runs on T alone.
     """
     neighbors = g.neighbors
     c = b = 1
-    h: defaultdict[int, set[int]] = defaultdict(set)
+    t: set[int] = set()
     for u, v in g.edges:
         nu, nv = neighbors[u], neighbors[v]
         if nu.isdisjoint(nv):
@@ -254,9 +255,9 @@ def graph_stats(g: Graph) -> GraphStats:
             if len(nu) + len(nv) > b:
                 b = len(nu) + len(nv)
         else:
-            h[u].add(v)
-            h[v].add(u)
-    for clique in _cliques(h, h) if h else ():
+            t.add(u)
+            t.add(v)
+    for clique in _cliques(neighbors, t) if t else ():
         c = max(c, len(clique))
         b = max(b, len(clique.union(*(neighbors[v] for v in clique))))
     d = g.vertex_count

@@ -17,8 +17,7 @@ reader that needs one (``init``, and ``is_prefix`` against an empty
 string) walks down to the bottom node of the string.  Appends are O(1)
 per affected string, and the pilings replayed from one walk share
 structure.  The walk itself folds its letters into the mutable kernel of
-``walk``; pilings serve replays, the oracles, pivot replacement and the
-walk's rare exact prefix check.
+``walk``; pilings serve replays, the oracles and pivot replacement.
 ``string()`` materializes the conventional letter sequence (``None`` is
 the zero marker, ``(vertex, value)`` a nontrivial letter) for rendering,
 linearization, and invariant checks.

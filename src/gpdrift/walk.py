@@ -13,36 +13,34 @@ from the letters and words.
 
 The walk folds its letters into a :class:`Kernel`, a mutable piling whose
 trailing zero runs are computed from counts, so a letter costs O(deg).
-Every letter on a string carries the clock stamp of its birth, and the
-stack holds ``(time, clock)`` pairs: the clock of time k is the stamp of
-s_k, so the half step of k (its anchor) holds exactly the entries
-stamped at or below that clock.  An anchor stays a prefix through one
+Every letter on a string carries a clock stamp, handed out at its birth,
+and the stack holds ``(time, clock)`` pairs: the clock of time k is the
+stamp of s_k, so the half step of k (its anchor) holds exactly the
+entries stamped at or below that clock.  An anchor stays a prefix through one
 letter unless that letter merges with or cancels an entry the anchor
-holds, so a letter that
-touches an entry pops every anchor whose clock is at or above the
-entry's stamp.  The half step and a one-letter word are exact this way.
+holds, so a letter that touches an entry pops every anchor whose clock is
+at or above the entry's stamp.  The half step and a one-letter word are
+exact this way: a single letter cannot put back what it took.
 
 Time k is pushed when s_k leaves the terminal clique of the previous
-piling; the other half of the local geodesic condition, that the initial
-clique of w_k misses the terminal clique of the half step, decides
-whether w_k pops it.  That rule is exact: when term(half) misses init(w)
-the piling of half·w is each string of half followed by the same string
-of w, so half is a prefix; otherwise a letter of w meets a terminal
-letter of half and merges with it or cancels it, so half is not.
+piling.  A word of several letters may take letters off an anchor and put
+the same letters back (c⁻¹b⁻¹a⁻¹·abcd), so its letters pop nothing while
+they fold.  The first time a letter of w touches an entry of the half
+step, the entry's position, value and zero run are recorded.  An entry
+that is back at its position with the same value and zero run after w
+gets its old stamp back; every other recorded entry is broken, and w pops
+every anchor whose clock reaches the lowest broken stamp.  The word is
+the identity exactly when nothing is broken and the syllable length is
+back to the half step's.
 
-A word of several letters may take letters off an anchor and put the
-same letters back (c⁻¹b⁻¹a⁻¹·abcd), so the letterwise stamp test would
-pop anchors that survive the full step.  The letters of w therefore pop
-nothing while they fold; let σ be the lowest stamp among the entries
-they touched that existed before w.
-  * When no anchor's clock reaches σ, every anchor survives.
-  * When only k reaches it, the rule above decides k, with init(w) folded
-    once per distinct word.  If k survives, the letters w rebuilt below
-    the half step's depth get k's clock as their stamp.
-  * Otherwise the anchors whose clock reaches σ are checked exactly: the
-    pilings are replayed, every such anchor that is no prefix of the full
-    step is popped with ``is_prefix``, and each rebuilt letter gets the
-    clock of the oldest surviving anchor that holds it.
+The rule is exact.  An anchor A reached by no broken stamp leaves each
+string of the full step Q starting with A's entries, with the same values
+and the same zero runs before them, and then A is a letterwise prefix of
+Q: a zero run counts the letters below an entry at non-adjacent vertices,
+so two matched letters in inverted order would force another inverted
+pair strictly lower in A, which cannot go on forever, and an unmatched
+letter below a matched one would add a zero.  An anchor holding a broken
+entry has a string that Q does not start with, so it is no prefix.
 Anchors on the stack are nested (each is a prefix of the next), so the
 survivors are always a bottom part of the stack.
 """
@@ -204,10 +202,6 @@ class Kernel:
         self.live += 1
         return self.clock
 
-    def init(self) -> frozenset[int]:
-        """Vertices whose string starts with a nontrivial element."""
-        return frozenset(v for v, entries in self.strings.items() if entries and entries[0][1] == 0)
-
 
 def fold(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> Kernel:
     """The kernel of a word of nontrivial letters; ``live`` is its
@@ -255,7 +249,6 @@ class WalkTrace:
         self.syllable_counts: list[int] = []
         self.active_counts: list[int] = []
         self._kernel = Kernel(graph, self.groups)
-        self._word_inits: dict[tuple, frozenset[int]] = {}
 
     @classmethod
     def run(
@@ -295,28 +288,18 @@ class WalkTrace:
         replayed from the first k steps."""
         return self.pilings(k)[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
 
-    def _word_init(self, w: tuple) -> frozenset[int]:
-        """init(w) for a word of several letters, folded once per word;
-        refuses identity letters and identity words."""
-        w_init = self._word_inits.get(w)
-        if w_init is None:
-            _require_nontrivial(w, self.groups)
-            kernel = fold(w, self.graph, self.groups)
-            if not kernel.live:
-                raise ValueError("nu sampler produced a word equal to the identity")
-            w_init = self._word_inits[w] = kernel.init()
-        return w_init
-
     def extend(self, s: MuLetter, w: Word) -> None:
-        """Fold one (letter, word) step in and update the pivotal stack."""
+        """Fold one (letter, word) step in and update the pivotal stack.
+
+        Raises ``ValueError`` for an empty word, an identity letter or a
+        word equal to the identity.  The identity word is found only after
+        it is folded, so a trace whose ``extend`` raised is left mid-step
+        and must be discarded.
+        """
         w = tuple(w)
         if not w:
             raise ValueError("nu sampler produced an empty word")
-        if len(w) > 1:
-            _require_nontrivial((s,), self.groups)
-            w_init = self._word_init(w)
-        else:
-            _require_nontrivial((s, w[0]), self.groups)
+        _require_nontrivial((s, *w), self.groups)
         k = self.n + 1
         self.s_letters.append(s)
         self.nu_words.append(w)
@@ -331,52 +314,36 @@ class WalkTrace:
                 stack.pop()
         if len(w) == 1:
             stamp = kernel.append(*w[0])
-            while stack and stack[-1][1] >= stamp:
-                stack.pop()
         else:
-            self._fold_word(k, w, w_init)
+            stamp = self._fold_word(w)
+        while stack and stack[-1][1] >= stamp:
+            stack.pop()
         self.syllable_counts.append(kernel.live)
         self.active_counts.append(len(stack))
 
-    def _fold_word(self, k: int, w: tuple, w_init: frozenset[int]) -> None:
-        """The full step for a word of several letters (module docstring)."""
-        kernel, stack, cnt = self._kernel, self.stack, self._kernel.cnt
-        clock_k = kernel.clock
-        k_pushed = bool(stack) and stack[-1][0] == k
-        # whether a vertex of init(w) ends nontrivially in the half step
-        w_eats_s = k_pushed and any(cnt[u] and not kernel.tail(u) for u in w_init)
-        sigma = clock_k + 1
-        start: dict[int, int] = {}  # string length at the half step
-        low: dict[int, int] = {}  # lowest position w took a letter off
+    def _fold_word(self, w: tuple) -> int:
+        """Fold a word of several letters; returns the lowest stamp it
+        broke, or a stamp above every anchor (module docstring)."""
+        kernel = self._kernel
+        cnt, strings = kernel.cnt, kernel.strings
+        clock, live = kernel.clock, kernel.live
+        touched: dict[tuple[int, int], tuple] = {}  # (v, position) -> (value, entry)
         for v, value in w:
             c = cnt[v]
-            stamp = kernel.append(v, value)
-            if stamp <= clock_k:
-                sigma = min(sigma, stamp)
-                start.setdefault(v, c)
-                low[v] = min(low.get(v, c), cnt[v])
-        if not stack or stack[-1][1] < sigma:
-            return
-        strings = kernel.strings
-        if k_pushed and (len(stack) == 1 or stack[-2][1] < sigma):
-            if w_eats_s:
-                stack.pop()
-            else:
-                for v, lo in low.items():
-                    for entry in strings[v][lo : start[v]]:
-                        entry[2] = clock_k
-            return
-        half, full = self.pilings()
-        while stack and stack[-1][1] >= sigma and not is_prefix(half[stack[-1][0] - 1], full[-1]):
-            stack.pop()
-        held = [(half[t - 1], clock) for t, clock in stack if clock >= sigma]
-        for v, lo in low.items():
-            depths = [(sum(x is not None for x in h.string(v)), clock) for h, clock in held]
-            for i, entry in enumerate(strings[v][lo:], start=lo):
-                clock = next((clock for depth, clock in depths if depth > i), None)
-                if clock is None:
-                    break
-                entry[2] = clock
+            entry = strings[v][-1] if c else None
+            old = entry[0] if c else None
+            if kernel.append(v, value) <= clock:
+                touched.setdefault((v, c - 1), (old, entry))
+        sigma = clock + 1
+        for (v, pos), (value, entry) in touched.items():
+            string = strings[v]
+            if pos < len(string) and string[pos][0] == value and string[pos][1] == entry[1]:
+                string[pos][2] = entry[2]
+            elif entry[2] < sigma:
+                sigma = entry[2]
+        if sigma > clock and kernel.live == live:
+            raise ValueError("nu sampler produced a word equal to the identity")
+        return sigma
 
     def pivotal_times(self) -> tuple[int, ...]:
         """Times pivotal with respect to the walk length (strictly before it)."""

@@ -11,6 +11,7 @@ from itertools import combinations
 from random import Random
 
 from gpdrift.graphs import Graph, make_graph
+from gpdrift.groups import groups_from_spec
 
 
 # --- naive piling: the inductive letter-append rule on materialized tuples ---
@@ -282,3 +283,12 @@ def random_word(graph: Graph, groups, length: int, rng: Random):
 
 def invert_word(word, groups):
     return [(v, groups[v].invert(val)) for v, val in reversed(word)]
+
+
+MIXED6 = groups_from_spec("z,zmod:2,zmod:3,z,zmod:2,zmod:3", 6)
+
+
+def destroy_and_rebuild(groups):
+    """c⁻¹b⁻¹a⁻¹·abcd on a, b, c, d = 0, 1, 2, 3: it takes letters off
+    the walk and puts the same letters back."""
+    return tuple((v, groups[v].from_int(k)) for v, k in ((2, -1), (1, -1), (0, -1), (0, 1), (1, 1), (2, 1), (3, 1)))

@@ -255,7 +255,7 @@ def _count_clique_searches(monkeypatch):
     real = graphs._cliques
 
     def counting(neighbors, vertices):
-        searched.append(set(vertices))
+        searched.append((neighbors, set(vertices)))
         return real(neighbors, vertices)
 
     monkeypatch.setattr(graphs, "_cliques", counting)
@@ -286,7 +286,9 @@ def test_one_triangle_searches_only_its_vertices(monkeypatch):
     g = make_graph([f"v{i}" for i in range(40)], [(i, i + 1) for i in range(39)] + [(10, 12)])
     s = graph_stats(g)
     assert (s.max_clique, s.max_neighbourhood) == (3, 5)
-    assert searched == [{10, 11, 12}]
+    [(neighbors, vertices)] = searched
+    assert vertices == {10, 11, 12}
+    assert neighbors is g.neighbors  # the search reads the graph's own sets
 
 
 def test_clique_search_needs_no_frame_per_clique_vertex():

@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpdrift.graphs import edgeless_graph, make_graph
-from gpdrift.groups import CyclicGroup, IntegerGroup, groups_from_spec
+from gpdrift.groups import CyclicGroup, IntegerGroup
 from gpdrift.piling import append, init, is_prefix, piling_of_word
 from gpdrift.walk import FixedWord, WalkTrace, WordChoice, pivotal_times_bruteforce, run_walk
 
-from oracles import naive_walk
+from oracles import MIXED6, destroy_and_rebuild, naive_walk
 
 PROPERTY_SETTINGS = dict(
     derandomize=True,
@@ -129,15 +129,6 @@ def test_incremental_stack_matches_bruteforce_at_every_horizon(case):
         assert h == piling_of_word(letters_so_far, graph, groups)
         letters_so_far.extend(w)
         assert f == piling_of_word(letters_so_far, graph, groups)
-
-
-MIXED6 = groups_from_spec("z,zmod:2,zmod:3,z,zmod:2,zmod:3", 6)
-
-
-def destroy_and_rebuild(groups):
-    """c⁻¹b⁻¹a⁻¹·abcd on a, b, c, d = 0, 1, 2, 3: it takes letters off
-    the walk and puts the same letters back."""
-    return tuple((v, groups[v].from_int(k)) for v, k in ((2, -1), (1, -1), (0, -1), (0, 1), (1, 1), (2, 1), (3, 1)))
 
 
 @pytest.mark.parametrize(

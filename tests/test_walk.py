@@ -22,7 +22,7 @@ from gpdrift.walk import (
     strong_choice_vertices,
 )
 
-from oracles import random_graph, random_word
+from oracles import MIXED6, destroy_and_rebuild, random_graph, random_word
 
 G3 = make_graph(["a", "b", "c"], [(0, 1)])
 Z3 = uniform_groups(3)
@@ -210,10 +210,14 @@ def test_incremental_matches_bruteforce_random_graphs():
 
 
 def test_identity_nu_word_rejected():
+    message = "^nu sampler produced a word equal to the identity$"
     # the second word is the identity only because a and b commute
     for word in (((2, 1), (2, -1)), ((0, 1), (1, 1), (0, -1), (1, -1))):
-        with pytest.raises(ValueError, match="^nu sampler produced a word equal to the identity$"):
+        with pytest.raises(ValueError, match=message):
             small_walk(graph=G3, groups=Z3, nu=FixedWord(word), steps=3)
+    # the word takes s off and puts it back
+    with pytest.raises(ValueError, match=message):
+        WalkTrace.run(G3, Z3, [((2, 1), ((2, -1), (2, 1)))])
 
 
 def test_empty_nu_word_rejected():
@@ -443,10 +447,26 @@ def test_pareto_alpha_must_be_finite_and_not_tiny():
             ParetoLetter(alpha)
 
 
-@pytest.mark.parametrize("nu", [FixedWord(((0, 1),)), ParetoLetter(1.1)])
-def test_one_letter_walks_never_replay_pilings(nu, monkeypatch):
-    # one-letter words are decided by the stamps alone: no piling is built
-    # and no prefix is checked while the walk runs
+@pytest.mark.parametrize(
+    "graph, groups, nu, steps, seeds",
+    [
+        (cycle_graph(50), uniform_groups(50), FixedWord(((0, 1),)), 200, 20),
+        (cycle_graph(50), uniform_groups(50), ParetoLetter(1.1), 200, 20),
+        (edgeless_graph(6), MIXED6, FixedWord(destroy_and_rebuild(MIXED6)), 25, 30),
+        (
+            edgeless_graph(6),
+            MIXED6,
+            WordChoice([destroy_and_rebuild(MIXED6), ((4, 1),), ((5, 2), (0, 1))]),
+            25,
+            30,
+        ),
+    ],
+    ids=["one-letter-fixed", "one-letter-pareto", "rebuild-fixed", "rebuild-choice"],
+)
+def test_walks_never_replay_pilings(graph, groups, nu, steps, seeds, monkeypatch):
+    # every word, also one that takes letters off and puts them back, is
+    # decided by the stamps alone: no piling is built and no prefix is
+    # checked while the walk runs
     calls = {"append": 0, "is_prefix": 0}
 
     def counting(name, fn):
@@ -457,9 +477,7 @@ def test_one_letter_walks_never_replay_pilings(nu, monkeypatch):
 
     monkeypatch.setattr(walk, "append", counting("append", append))
     monkeypatch.setattr(walk, "is_prefix", counting("is_prefix", is_prefix))
-    graph = cycle_graph(50)
-    groups = uniform_groups(50)
-    for seed in range(20):
-        trace = run_walk(graph, groups, nu, 200, seed)
+    for seed in range(seeds):
+        trace = run_walk(graph, groups, nu, steps, seed)
         assert trace.active_counts[-1] > 0
     assert calls == {"append": 0, "is_prefix": 0}
