@@ -30,6 +30,7 @@ from .graphs import (
     GraphStats,
     complete_graph,
     cycle_graph,
+    cycle_graphs,
     edgeless_graph,
     graph_stats,
     make_graph,

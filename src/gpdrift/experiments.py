@@ -18,7 +18,7 @@ from random import Random
 from typing import Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
-from .graphs import Graph, GraphStats, cycle_graph, graph_stats
+from .graphs import Graph, GraphStats, cycle_graphs, graph_stats
 from .groups import VertexGroup
 from .walk import run_walk
 
@@ -117,9 +117,20 @@ def _worker_run(trial: int) -> TrialMetrics:
     return _trial_metrics(_WORKER_BATCH, trial)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: ``os.process_cpu_count()`` where it
+    exists (3.13+), else the size of the affinity mask, else
+    ``os.cpu_count()``, which also counts CPUs the process may not use."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
     """Worker processes for batches, from GPDRIFT_WORKERS (default 1),
-    at most one per CPU.
+    at most one per CPU this process may run on (see ``_usable_cpus``).
 
     The count never changes results, only wall time.
     """
@@ -128,7 +139,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"GPDRIFT_WORKERS must be an integer, got {raw!r}")
-    return max(1, min(n, os.cpu_count() or 1))
+    return max(1, min(n, _usable_cpus()))
 
 
 def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
@@ -284,8 +295,8 @@ def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
     assumed, so small lengths (triangle, square) report their true values.
     """
     rows = []
-    for d in d_values:
-        stats = graph_stats(cycle_graph(d))
+    for g in cycle_graphs(d_values):
+        stats = graph_stats(g)
         dd, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
         mean_inc = float(increment_mean(b, c, dd)) if dd > 2 * b + c else None
         if stats.small_cliques:

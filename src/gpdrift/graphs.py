@@ -41,6 +41,8 @@ class Graph:
         Built in one pass over ``edges``, appending both ends to per-vertex
         lists that are frozen at the end; normalized edges hold no
         duplicates, so the lists need no set semantics while they grow.
+        The cycle constructors (:func:`cycle_graphs`, :func:`cycle_graph`)
+        supply these sets themselves and skip the pass.
         """
         adj: list[list[int]] = [[] for _ in self.labels]
         for i, j in self.edges:
@@ -167,11 +169,44 @@ def _labels(d: int) -> tuple[str, ...]:
     return tuple([f"v{i}" for i in range(d)])
 
 
-def cycle_graph(d: int) -> Graph:
-    if d < 3:
+def cycle_graphs(d_values: Iterable[int]) -> Iterator[Graph]:
+    """The cycle of each length in ``d_values``, in order, repeats included.
+
+    All of them are cut from one path built for the longest: its labels,
+    its edges ``(i, i + 1)`` and the neighbour sets ``{i, i + 2}`` of its
+    inner vertices are made once, from one tuple of int objects, and each
+    cycle holds references to them.  A cycle of length d adds only its
+    closing edge ``(0, d - 1)`` and the neighbour sets of its two ends.
+    Nothing is kept between calls.
+    """
+    d_values = tuple(d_values)
+    if not d_values:
+        return
+    if min(d_values) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
-    return Graph(_labels(d), ((0, 1), (0, d - 1), *zip(range(1, d - 1), range(2, d))))
+    top = max(d_values)
+    ints = tuple(range(top))
+    labels = _labels(top)
+    path = tuple(zip(ints, ints[1:]))  # path[i] = (i, i + 1)
+    inner = tuple(map(frozenset, zip(ints, ints[2:])))  # the neighbours of i + 1
+    for d in d_values:
+        last = ints[d - 1]
+        # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
+        g = Graph(labels[:d], (path[0], (0, last), *path[1 : d - 1]))
+        # what the ``neighbors`` cached property would compute, in its
+        # insertion order, under the name it caches to
+        g.__dict__["neighbors"] = (
+            frozenset((1, last)),
+            *inner[: d - 2],
+            frozenset((0, ints[d - 2])),
+        )
+        yield g
+
+
+def cycle_graph(d: int) -> Graph:
+    """The cycle on ``d >= 3`` vertices ``v0 .. v{d-1}``, with ``vi``
+    adjacent to ``v(i+1 mod d)``; built by :func:`cycle_graphs`."""
+    return next(cycle_graphs((d,)))
 
 
 def edgeless_graph(d: int) -> Graph:

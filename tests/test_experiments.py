@@ -63,10 +63,31 @@ def test_run_batch_worker_count_is_invisible(monkeypatch):
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):
     # only the count is read: no process is started here
+    if hasattr(os, "process_cpu_count"):
+        usable = os.process_cpu_count() or 1
+    elif hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
     monkeypatch.setenv("GPDRIFT_WORKERS", "100000")
-    assert experiments.worker_count() == (os.cpu_count() or 1)
+    assert experiments.worker_count() == usable
     monkeypatch.setenv("GPDRIFT_WORKERS", "0")
     assert experiments.worker_count() == 1
+
+
+@pytest.mark.parametrize("source", ["process_cpu_count", "sched_getaffinity", "cpu_count"])
+def test_worker_count_capped_at_usable_cpus(monkeypatch, source):
+    # a process pinned to one CPU of eight gets one worker; cpu_count is
+    # the cap only where neither narrower count exists
+    monkeypatch.setenv("GPDRIFT_WORKERS", "4")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 1, raising=False)
+    if source != "process_cpu_count":
+        monkeypatch.delattr(os, "process_cpu_count")
+    if source == "cpu_count":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiments.worker_count() == (4 if source == "cpu_count" else 1)
 
 
 def test_run_batch_starts_no_pool_for_one_trial(monkeypatch):

@@ -10,6 +10,7 @@ from gpdrift.cli import main
 from gpdrift.graphs import (
     complete_graph,
     cycle_graph,
+    cycle_graphs,
     edgeless_graph,
     graph_stats,
     make_graph,
@@ -119,18 +120,65 @@ def _assert_same_graph(g, h):
     assert (g.labels, g.edges, g.neighbors) == (h.labels, h.edges, h.neighbors)
 
 
+def _make_cycle(d):
+    return make_graph([f"v{i}" for i in range(d)], [(i, (i + 1) % d) for i in range(d)])
+
+
 def test_family_constructors_match_make_graph():
     # the family constructors skip make_graph's validation, so their edges
     # must come out exactly as make_graph would normalize them
     for d in range(3, 201):
-        labels = [f"v{i}" for i in range(d)]
-        _assert_same_graph(cycle_graph(d), make_graph(labels, [(i, (i + 1) % d) for i in range(d)]))
+        _assert_same_graph(cycle_graph(d), _make_cycle(d))
     for d in range(1, 31):
         labels = [f"v{i}" for i in range(d)]
         edges = [(j, i) for i in range(d) for j in range(i)]
         _assert_same_graph(complete_graph(d), make_graph(labels, edges))
     for d in range(1, 51):
         _assert_same_graph(edgeless_graph(d), make_graph([f"v{i}" for i in range(d)], []))
+
+
+def test_cycle_graphs_match_make_graph():
+    # unsorted, with repeats, and the longest first: every cycle is cut
+    # from the path built for 12000 vertices
+    d_values = [12000, 3, 17, 4, 17, 5, *range(3, 201)]
+    family = list(cycle_graphs(d_values))
+    assert len(family) == len(d_values)
+    for d, g in zip(d_values, family):
+        _assert_same_graph(g, _make_cycle(d))
+
+
+def test_cycle_graphs_empty_and_short():
+    assert list(cycle_graphs([])) == []
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        list(cycle_graphs([5, 2]))
+
+
+def test_cycle_family_shares_sets_within_one_call_only():
+    a, b = cycle_graphs([10, 20])
+    assert a.neighbors[3] is b.neighbors[3]  # {2, 4}, built once
+    assert cycle_graph(10).neighbors[3] is not cycle_graph(10).neighbors[3]
+
+
+def test_sweep_never_builds_neighbor_sets_from_edges(tmp_path, monkeypatch, capsys):
+    # the cycles come with their neighbour sets, so the cached property's
+    # edge pass never runs over the default sweep
+    prop = graphs.Graph.__dict__["neighbors"]
+    calls = []
+    real = prop.func
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        return real(g)
+
+    monkeypatch.setattr(prop, "func", counting)
+    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
+                 "--output", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
+    assert calls == [2]  # the counter sees graphs built from edges
 
 
 def test_neighbors_match_adjacency_scan():
