@@ -69,8 +69,12 @@ def _load_graph(args) -> Graph:
     raise ValueError("provide --graph FILE or --family NAME --D N")
 
 
-def _parse_word(token: str, graph: Graph, groups) -> Word:
-    index = {label: i for i, label in enumerate(graph.labels)}
+def _label_index(graph: Graph) -> dict[str, int]:
+    return {label: i for i, label in enumerate(graph.labels)}
+
+
+def _parse_word(token: str, graph: Graph, groups, index: dict[str, int]) -> Word:
+    """One ``label^power`` word; ``index`` maps labels to vertices."""
     word = []
     for piece in token.split(","):
         piece = piece.strip()
@@ -101,11 +105,12 @@ def _parse_word(token: str, graph: Graph, groups) -> Word:
 def _parse_nu(spec: str, graph: Graph, groups):
     kind, _, rest = spec.partition(":")
     if kind == "fixed":
-        return FixedWord(_parse_word(rest, graph, groups))
+        return FixedWord(_parse_word(rest, graph, groups, _label_index(graph)))
     if kind == "list":
+        index = _label_index(graph)
         with open(rest, "r", encoding="utf-8") as fh:
             words = [
-                _parse_word(line.strip(), graph, groups)
+                _parse_word(line.strip(), graph, groups, index)
                 for line in fh
                 if line.strip() and not line.startswith("#")
             ]

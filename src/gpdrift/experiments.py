@@ -2,20 +2,26 @@
 
 Trials are independent walks with per-trial seeds derived from the batch
 seed by a splitmix64 step, so results are identical for any worker count
-and any execution order.  Statistical pass thresholds sit at four binomial
-standard errors (or a one-sided 99% Wilson limit for rare events): these
-are one-sided sanity checks of proved inequalities, so false alarms should
-be negligible across a whole suite.
+and any execution order.  With W workers a batch splits into W contiguous
+blocks of trials: the calling process runs the first block itself while
+W - 1 forked children run the others and pipe back one pickle each, read
+in block order.  Where ``os.fork`` is missing, batches run serially.
+
+Statistical pass thresholds sit at four binomial standard errors (or a
+one-sided 99% Wilson limit for rare events): these are one-sided sanity
+checks of proved inequalities, so false alarms should be negligible across
+a whole suite.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
-from multiprocessing import Pool
 from random import Random
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
 from .graphs import Graph, GraphStats, cycle_graphs, graph_stats
@@ -104,17 +110,77 @@ def _trial_metrics(batch: TrialBatch, trial: int) -> TrialMetrics:
     )
 
 
-_WORKER_BATCH: TrialBatch | None = None
+def _run_block(batch: TrialBatch, lo: int, hi: int) -> list[TrialMetrics]:
+    return [_trial_metrics(batch, t) for t in range(lo, hi)]
 
 
-def _init_worker(batch: TrialBatch) -> None:
-    global _WORKER_BATCH
-    _WORKER_BATCH = batch
+def _fork_block(
+    batch: TrialBatch, lo: int, hi: int, siblings: Sequence[BinaryIO]
+) -> tuple[int, BinaryIO]:
+    """Fork a child that runs trials [lo, hi) and writes one pickle of
+    ``(True, metrics)`` or ``(False, exception)`` to a pipe, then exits.
+    Returns the child's pid and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for fh in siblings:
+                fh.close()
+            try:
+                payload = (True, _run_block(batch, lo, hi))
+            except Exception as exc:
+                payload = (False, exc)
+            # an exception that does not pickle ends the child with no result
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            # never return into the caller's code, and flush none of its buffers
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
 
 
-def _worker_run(trial: int) -> TrialMetrics:
-    assert _WORKER_BATCH is not None
-    return _trial_metrics(_WORKER_BATCH, trial)
+def _fan_out(batch: TrialBatch, workers: int) -> list[TrialMetrics]:
+    """Trials of block i are [T*i//W, T*(i+1)//W).  Results come back in
+    trial order; if blocks fail, the lowest failing block's error is
+    raised, as the serial loop would raise it.  Every child is reaped,
+    and any child still running when an error leaves is killed first."""
+    cuts = [batch.trials * i // workers for i in range(workers + 1)]
+    pending: list[tuple[int, BinaryIO]] = []
+    try:
+        for i in range(1, workers):
+            pending.append(_fork_block(batch, cuts[i], cuts[i + 1], [fh for _, fh in pending]))
+        results = _run_block(batch, 0, cuts[1])
+        for i in range(1, workers):
+            pid, fh = pending[0]
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"worker for trials [{cuts[i]}, {cuts[i + 1]}) ended with exit code "
+                    f"{os.waitstatus_to_exitcode(status)} and no result"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid, fh in pending:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _usable_cpus() -> int:
@@ -129,8 +195,9 @@ def _usable_cpus() -> int:
 
 
 def worker_count() -> int:
-    """Worker processes for batches, from GPDRIFT_WORKERS (default 1),
-    at most one per CPU this process may run on (see ``_usable_cpus``).
+    """Worker processes for batches, the caller included, from
+    GPDRIFT_WORKERS (default 1), at most one per CPU this process may run
+    on (see ``_usable_cpus``).
 
     The count never changes results, only wall time.
     """
@@ -148,11 +215,9 @@ def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
     if batch.steps < 0:
         raise ValueError("steps must be nonnegative")
     workers = min(worker_count(), batch.trials)
-    if workers == 1:
-        return [_trial_metrics(batch, t) for t in range(batch.trials)]
-    chunk = max(1, batch.trials // (workers * 8))
-    with Pool(workers, initializer=_init_worker, initargs=(batch,)) as pool:
-        return list(pool.map(_worker_run, range(batch.trials), chunksize=chunk))
+    if workers == 1 or not hasattr(os, "fork"):
+        return _run_block(batch, 0, batch.trials)
+    return _fan_out(batch, workers)
 
 
 def estimate_drift(metrics: Sequence[TrialMetrics], n: int) -> DriftEstimate:

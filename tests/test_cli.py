@@ -186,6 +186,35 @@ def test_nu_word_list_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_nu_word_list_parses_with_one_label_map(tmp_path, monkeypatch):
+    import gpdrift.cli as cli
+    from gpdrift.graphs import cycle_graph
+    from gpdrift.groups import uniform_groups
+
+    graph, groups = cycle_graph(2000), uniform_groups(2000)
+    lines = [f"v{i}^1,v{(i + 7) % 2000}^-2" for i in range(0, 2000, 37)]
+    words = tmp_path / "words.txt"
+    words.write_text("# a comment\n" + "\n".join(lines) + "\n")
+    expected = [cli._parse_word(line, graph, groups, cli._label_index(graph)) for line in lines]
+    maps, builds = [], []
+    real_index, real_parse = cli._label_index, cli._parse_word
+
+    def label_index(g):
+        builds.append(g)
+        return real_index(g)
+
+    def parse_word(token, g, gr, index):
+        maps.append(index)
+        return real_parse(token, g, gr, index)
+
+    monkeypatch.setattr(cli, "_label_index", label_index)
+    monkeypatch.setattr(cli, "_parse_word", parse_word)
+    nu = cli._parse_nu(f"list:{words}", graph, groups)
+    assert list(nu.words) == expected
+    assert len(builds) == 1 and len(maps) == len(lines)
+    assert all(m is maps[0] for m in maps)
+
+
 def test_check_passes_on_cycle(tmp_path, capsys):
     out_path = tmp_path / "checks.csv"
     code, out, _ = run_cli(

@@ -1,5 +1,13 @@
+import ast
+import contextlib
 import math
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -90,13 +98,221 @@ def test_worker_count_capped_at_usable_cpus(monkeypatch, source):
     assert experiments.worker_count() == (4 if source == "cpu_count" else 1)
 
 
-def test_run_batch_starts_no_pool_for_one_trial(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a single trial needs no worker pool")
+def _count_forks(monkeypatch) -> list[int]:
+    """Counts os.fork calls made in this process; each still forks."""
+    calls = []
+    real_fork = os.fork
 
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _watchdog(seconds):
+    """Turns a hang of the block into a TimeoutError after ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_batch_starts_no_pool_for_one_trial(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("GPDRIFT_WORKERS", "2")
-    monkeypatch.setattr(experiments, "Pool", no_pool)
     assert len(run_batch(batch17(steps=3, trials=1))) == 1
+    monkeypatch.setenv("GPDRIFT_WORKERS", "1")
+    assert len(run_batch(batch17(steps=3, trials=40))) == 40
+    assert forks == []
+
+
+@pytest.mark.parametrize("workers,trials", [(2, 40), (3, 40), (3, 7), (3, 2)])
+def test_run_batch_forks_one_child_per_extra_worker(monkeypatch, workers, trials):
+    # the parent runs the first block itself; blocks may be uneven
+    b = batch17(steps=10, trials=trials)
+    serial = trials_csv_text(run_batch(b))
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("GPDRIFT_WORKERS", str(workers))
+    assert trials_csv_text(run_batch(b)) == serial
+    assert len(forks) == min(workers, trials) - 1
+    _assert_no_child_left()
+
+
+def test_run_batch_is_serial_without_fork(monkeypatch):
+    b = batch17(steps=10, trials=40)
+    serial = trials_csv_text(run_batch(b))
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+    assert trials_csv_text(run_batch(b)) == serial
+
+
+class RefusingWord:
+    """A nu sampler that draws one uniform per step and returns a fixed
+    word, raising ValueError on the refused draws.  With no refusals it
+    records its draws, in trial order when run serially."""
+
+    def __init__(self, refused=()):
+        self.refused = set(refused)
+        self.draws = []
+
+    def sample(self, rng, graph, groups):
+        u = rng.random()
+        if u in self.refused:
+            raise ValueError(f"nu refused the draw {u!r}")
+        self.draws.append(u)
+        return ((0, groups[0].from_int(1)),)
+
+
+def _draw_of(trial, step, steps=10, trials=60, seed=7):
+    """The draw RefusingWord sees at (trial, step) of batch17."""
+    recorder = RefusingWord()
+    run_batch(batch17(steps=steps, trials=trials, seed=seed, nu=recorder))
+    assert len(recorder.draws) == steps * trials
+    return recorder.draws[trial * steps + step]
+
+
+def test_child_block_error_matches_serial(monkeypatch):
+    # blocks at 3 workers: [0, 20), [20, 40), [40, 60); trials 25 and 45
+    # fail, so the lowest failing block's error must win
+    refused = (_draw_of(45, 2), _draw_of(25, 7))
+    nu = RefusingWord(refused)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    messages = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("GPDRIFT_WORKERS", workers)
+        with pytest.raises(ValueError) as info:
+            run_batch(batch17(steps=10, trials=60, nu=nu))
+        messages[workers] = str(info.value)
+        _assert_no_child_left()
+    assert messages["1"] == f"nu refused the draw {refused[1]!r}"
+    assert messages["2"] == messages["3"] == messages["1"]
+
+
+def test_simulate_child_block_error_exits_2(monkeypatch, tmp_path, capsys):
+    import gpdrift.cli as cli
+
+    # trial 30 lies in the forked block at 2 workers
+    steps, trials = 10, 40
+    refused = _draw_of(30, 4, steps=steps, trials=trials, seed=cli.DEFAULT_SEED)
+    monkeypatch.setattr(cli, "_parse_nu", lambda spec, graph, groups: RefusingWord([refused]))
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    errs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GPDRIFT_WORKERS", workers)
+        code = cli.main([
+            "simulate", "--family", "cycle", "--D", "17", "--nu", "fixed:v0^1",
+            "--n", str(steps), "--trials", str(trials), "--output", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        errs.append(capsys.readouterr().err)
+        _assert_no_child_left()
+    assert errs[0] == errs[1] == f"error: nu refused the draw {refused!r}\n"
+
+
+class ParentFailsAfterChild:
+    """Fixed-word sampler.  In the forked child it counts steps and, after
+    the last, creates ``flag``; in the parent it waits for the flag and
+    then raises, so the error leaves while the child holds its result."""
+
+    def __init__(self, parent, child_steps, flag):
+        self.parent, self.child_steps, self.flag = parent, child_steps, flag
+        self.calls = 0
+
+    def sample(self, rng, graph, groups):
+        if os.getpid() == self.parent:
+            deadline = time.monotonic() + 30
+            while not self.flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ValueError("parent block failed")
+        self.calls += 1
+        if self.calls == self.child_steps:
+            self.flag.touch()
+        return ((0, groups[0].from_int(1)),)
+
+
+def test_parent_block_error_kills_a_child_blocked_on_its_pipe(monkeypatch, tmp_path):
+    steps, trials = 2000, 40
+    child_block = run_batch(batch17(steps=steps, trials=trials))[trials // 2:]
+    assert len(pickle.dumps((True, child_block), pickle.HIGHEST_PROTOCOL)) > 64 * 1024
+    nu = ParentFailsAfterChild(os.getpid(), steps * (trials // 2), tmp_path / "child-done")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+
+    with _watchdog(60), pytest.raises(ValueError, match="parent block failed"):
+        run_batch(batch17(steps=steps, trials=trials, nu=nu))
+    assert nu.flag.exists()
+    _assert_no_child_left()
+
+
+class ChildSleeps:
+    """Fixed-word sampler that raises in the parent and sleeps in a child."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def sample(self, rng, graph, groups):
+        if os.getpid() == self.parent:
+            raise ValueError("parent block failed")
+        time.sleep(60)
+
+
+def test_parent_block_error_kills_a_running_child(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+    t0 = time.monotonic()
+    with _watchdog(20), pytest.raises(ValueError, match="parent block failed"):
+        run_batch(batch17(steps=5, trials=10, nu=ChildSleeps(os.getpid())))
+    assert time.monotonic() - t0 < 20
+    _assert_no_child_left()
+
+
+class ChildExits:
+    """Fixed-word sampler that ends any process but the parent at once."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def sample(self, rng, graph, groups):
+        if os.getpid() != self.parent:
+            os._exit(3)
+        return ((0, groups[0].from_int(1)),)
+
+
+def test_child_without_result_is_an_error(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+    with pytest.raises(RuntimeError, match=r"trials \[5, 10\) ended with exit code 3 and no result"):
+        run_batch(batch17(steps=5, trials=10, nu=ChildExits(os.getpid())))
+    _assert_no_child_left()
+
+
+def test_import_leaves_multiprocessing_out():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import gpdrift; print(sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True, timeout=60
+    )
+    modules = set(ast.literal_eval(done.stdout))
+    assert "gpdrift.experiments" in modules
+    assert "multiprocessing" not in modules
 
 
 MIXED17 = groups_from_spec(",".join(["z", "zmod:2", "zmod:3"] * 5 + ["z", "zmod:2"]), 17)
