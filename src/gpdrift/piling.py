@@ -9,18 +9,17 @@ cancellation also retracts one trailing zero from every non-adjacent
 string.  The number of nontrivial letters is exactly the syllable length
 of the group element.
 
-Representation: strings are persistent stacks with one node per
-nontrivial letter; the zero markers between elements are stored as
-run-length counts on the nodes, and the trailing run of each string is
-kept on the piling itself.  There is no cache of leading runs: the rare
-reader that needs one (``init``, and ``is_prefix`` against an empty
-string) walks down to the bottom node of the string.  Appends are O(1)
-per affected string, and the pilings replayed from one walk share
-structure.  The walk itself folds its letters into the mutable kernel of
-``walk``; pilings serve replays, the oracles and pivot replacement.
-``string()`` materializes the conventional letter sequence (``None`` is
-the zero marker, ``(vertex, value)`` a nontrivial letter) for rendering,
-linearization, and invariant checks.
+Representation: each string is a tuple of ``(value, zeros_before)``
+entries, bottom to top, one per nontrivial letter, where ``zeros_before``
+counts the zero markers just below that letter; the trailing run of each
+string is kept apart in ``_tails``.  An append rebuilds only the string
+it touches, so pilings replayed from one walk share every other string
+tuple, and ``is_prefix`` settles those on identity.  The walk itself
+folds its letters into the mutable kernel of ``walk``; pilings serve
+replays, the definition scan, pivot replacement, the debug dump and the
+tests.  ``string()`` materializes the conventional letter sequence
+(``None`` is the zero marker, ``(vertex, value)`` a nontrivial letter)
+for rendering, linearization, and invariant checks.
 
 Pilings are immutable values: every operation returns a new piling and
 never mutates its inputs, so they are safe to share across threads.
@@ -43,57 +42,25 @@ class CorruptPilingError(RuntimeError):
     """An internal structural invariant failed (forged input or a bug)."""
 
 
-class _Entry:
-    """One nontrivial letter on a string, with the zero run preceding it."""
-
-    __slots__ = ("value", "zeros_before", "depth", "parent")
-
-    def __init__(self, value, zeros_before: int, depth: int, parent: "_Entry | None"):
-        self.value = value
-        self.zeros_before = zeros_before
-        self.depth = depth
-        self.parent = parent
-
-
 def _replace(items: tuple, index: int, value) -> tuple:
     return items[:index] + (value,) + items[index + 1 :]
-
-
-def _bottom(entry: _Entry) -> _Entry:
-    # The first letter of a string; its zeros_before is the leading run.
-    while entry.parent is not None:
-        entry = entry.parent
-    return entry
-
-
-def _stack_equal(a: _Entry | None, b: _Entry | None) -> bool:
-    # Structural equality with an identity fast path: snapshots from one
-    # walk share tails, so the loop usually exits on ``a is b`` immediately.
-    while a is not b:
-        if a is None or b is None:
-            return False
-        if a.zeros_before != b.zeros_before or a.value != b.value:
-            return False
-        a = a.parent
-        b = b.parent
-    return True
 
 
 class Piling:
     """Immutable normal form for a graph-product element."""
 
-    __slots__ = ("_tops", "_tails", "_syllables")
+    __slots__ = ("_strings", "_tails", "_syllables")
 
     def __init__(
-        self, tops: tuple[_Entry | None, ...], tails: tuple[int, ...], syllables: int
+        self, strings: tuple[tuple, ...], tails: tuple[int, ...], syllables: int
     ):
-        self._tops = tops
+        self._strings = strings
         self._tails = tails
         self._syllables = syllables
 
     @property
     def d(self) -> int:
-        return len(self._tops)
+        return len(self._strings)
 
     @property
     def syllables(self) -> int:
@@ -101,15 +68,10 @@ class Piling:
 
     def string(self, i: int) -> tuple[Letter, ...]:
         """Materialize string ``i`` as explicit letters."""
-        chain = []
-        entry = self._tops[i]
-        while entry is not None:
-            chain.append(entry)
-            entry = entry.parent
         out: list[Letter] = []
-        for entry in reversed(chain):
-            out.extend([None] * entry.zeros_before)
-            out.append((i, entry.value))
+        for value, zeros in self._strings[i]:
+            out.extend([None] * zeros)
+            out.append((i, value))
         out.extend([None] * self._tails[i])
         return tuple(out)
 
@@ -117,7 +79,7 @@ class Piling:
         return tuple(self.string(i) for i in range(self.d))
 
     def ends_nontrivial(self, i: int) -> bool:
-        return self._tops[i] is not None and self._tails[i] == 0
+        return bool(self._strings[i]) and self._tails[i] == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Piling):
@@ -125,7 +87,7 @@ class Piling:
         return (
             self._syllables == other._syllables
             and self._tails == other._tails
-            and all(map(_stack_equal, self._tops, other._tops))
+            and self._strings == other._strings
         )
 
     __hash__ = None  # mutable-feeling value type; not meant for dict keys
@@ -137,7 +99,7 @@ class Piling:
 def empty_piling(d: int) -> Piling:
     if d < 1:
         raise ValueError("a piling needs at least one string")
-    return Piling((None,) * d, (0,) * d, 0)
+    return Piling(((),) * d, (0,) * d, 0)
 
 
 def append(
@@ -147,34 +109,34 @@ def append(
     group = groups[vertex]
     if group.is_identity(value):
         raise ValueError("letters must be nontrivial vertex-group elements")
-    top = p._tops[vertex]
-    if top is not None and p._tails[vertex] == 0:
+    s = p._strings[vertex]
+    if s and p._tails[vertex] == 0:
         # String ends in an element of the same group: merge or cancel.
-        merged = group.multiply(top.value, value)
-        if group.is_identity(merged):
-            return _cancel(p, vertex, graph, top)
-        new_top = _Entry(merged, top.zeros_before, top.depth, top.parent)
-        return Piling(_replace(p._tops, vertex, new_top), p._tails, p._syllables)
+        top, zeros = s[-1]
+        merged = group.multiply(top, value)
+        if not group.is_identity(merged):
+            s = s[:-1] + ((merged, zeros),)
+            return Piling(_replace(p._strings, vertex, s), p._tails, p._syllables)
+        # Cancellation retracts one trailing zero from every non-adjacent
+        # string, and the element's own zero run becomes the trailing run.
+        tails = list(p._tails)
+        for j in graph.nonneighbors[vertex]:
+            if tails[j] <= 0:
+                raise CorruptPilingError(
+                    f"cancellation at vertex {vertex} found no trailing zero "
+                    f"on string {j}"
+                )
+            tails[j] -= 1
+        tails[vertex] = zeros
+        return Piling(_replace(p._strings, vertex, s[:-1]), tuple(tails), p._syllables - 1)
     # Fresh letter: it closes the zero run on its own string and drops a
     # zero marker on every non-adjacent string.
-    entry = _Entry(value, p._tails[vertex], (top.depth + 1) if top else 1, top)
+    s += ((value, p._tails[vertex]),)
     tails = list(p._tails)
     for j in graph.nonneighbors[vertex]:
         tails[j] += 1
     tails[vertex] = 0
-    return Piling(_replace(p._tops, vertex, entry), tuple(tails), p._syllables + 1)
-
-
-def _cancel(p: Piling, vertex: int, graph: Graph, top: _Entry) -> Piling:
-    tails = list(p._tails)
-    for j in graph.nonneighbors[vertex]:
-        if tails[j] <= 0:
-            raise CorruptPilingError(
-                f"cancellation at vertex {vertex} found no trailing zero on string {j}"
-            )
-        tails[j] -= 1
-    tails[vertex] = top.zeros_before
-    return Piling(_replace(p._tops, vertex, top.parent), tuple(tails), p._syllables - 1)
+    return Piling(_replace(p._strings, vertex, s), tuple(tails), p._syllables + 1)
 
 
 def piling_of_word(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> Piling:
@@ -186,19 +148,12 @@ def piling_of_word(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> P
 
 def term(p: Piling) -> frozenset[int]:
     """Vertices whose string ends in a nontrivial element (a clique)."""
-    tails = p._tails
-    return frozenset(
-        i for i, top in enumerate(p._tops) if top is not None and tails[i] == 0
-    )
+    return frozenset(i for i in range(p.d) if p.ends_nontrivial(i))
 
 
 def init(p: Piling) -> frozenset[int]:
     """Vertices whose string starts with a nontrivial element (a clique)."""
-    return frozenset(
-        i
-        for i, top in enumerate(p._tops)
-        if top is not None and _bottom(top).zeros_before == 0
-    )
+    return frozenset(i for i, s in enumerate(p._strings) if s and s[0][1] == 0)
 
 
 def invert(p: Piling, groups: Sequence[VertexGroup]) -> Piling:
@@ -227,24 +182,23 @@ def concat(p: Piling, q: Piling) -> Piling:
 def is_prefix(p: Piling, q: Piling) -> bool:
     """True when every string of ``p`` is a letterwise prefix in ``q``.
 
-    Nontrivial letters compare by exact group-element equality.  Each
-    string of ``q`` is walked down to the depth of the matching string of
-    ``p`` (an empty string has depth 0), keeping the zero run that follows
-    the node reached; the two stacks must then be equal and the trailing
-    run of ``p`` no longer than that run.  When the strings share their
-    top node (the usual case across pilings replayed from one walk) the
-    check is a couple of comparisons.
+    Nontrivial letters compare by exact group-element equality.  The
+    entries of each string of ``p`` must start the matching string of
+    ``q``, and the trailing run of ``p`` must be no longer than the zero
+    run that follows them in ``q``: the ``zeros_before`` of ``q``'s next
+    entry, or ``q``'s trailing run when there is none.  Pilings replayed
+    from one walk share the strings a step left alone, so most strings
+    are settled by identity.
     """
     if p.d != q.d:
         raise ValueError("pilings have different string counts")
-    for a, pz, b, qz in zip(p._tops, p._tails, q._tops, q._tails):
+    for a, pz, b, qz in zip(p._strings, p._tails, q._strings, q._tails):
         if a is not b:
-            depth = a.depth if a is not None else 0
-            while b is not None and b.depth > depth:
-                qz = b.zeros_before
-                b = b.parent
-            if not (a is b or _stack_equal(a, b)):
+            n = len(a)
+            if b[:n] != a:
                 return False
+            if len(b) > n:
+                qz = b[n][1]
         if pz > qz:
             return False
     return True
@@ -286,13 +240,12 @@ def from_strings(strings: Sequence[Iterable[Letter]]) -> Piling:
     this only enforces per-string shape: letters live on their own string
     and two elements are never adjacent (they would have merged).
     """
-    d = len(strings)
-    if d < 1:
+    if not strings:
         raise ValueError("a piling needs at least one string")
-    tops: list[_Entry | None] = [None] * d
-    tails = [0] * d
-    syllables = 0
+    entries: list[tuple] = []
+    tails: list[int] = []
     for i, letters in enumerate(strings):
+        string: list[tuple[object, int]] = []
         run = 0
         for letter in letters:
             if letter is None:
@@ -301,15 +254,15 @@ def from_strings(strings: Sequence[Iterable[Letter]]) -> Piling:
             vertex, value = letter
             if vertex != i:
                 raise ValueError(f"string {i} holds a letter for vertex {vertex}")
-            if tops[i] is not None and run == 0:
+            if string and run == 0:
                 raise ValueError(
                     f"string {i} has two adjacent elements; they should have merged"
                 )
-            tops[i] = _Entry(value, run, (tops[i].depth + 1) if tops[i] else 1, tops[i])
-            syllables += 1
+            string.append((value, run))
             run = 0
-        tails[i] = run
-    return Piling(tuple(tops), tuple(tails), syllables)
+        entries.append(tuple(string))
+        tails.append(run)
+    return Piling(tuple(entries), tuple(tails), sum(map(len, entries)))
 
 
 def validate(p: Piling, graph: Graph) -> None:
@@ -339,13 +292,8 @@ def render(p: Piling, labels: Sequence[str] | None = None) -> str:
     ``label^value``; the empty string renders as ``ε``."""
     if labels is None:
         labels = [str(i) for i in range(p.d)]
-    parts = []
-    for i in range(p.d):
-        s = p.string(i)
-        if not s:
-            parts.append("ε")
-        else:
-            parts.append(
-                " ".join("0" if x is None else f"{labels[i]}^{x[1]}" for x in s)
-            )
-    return ", ".join(parts)
+    return ", ".join(
+        " ".join("0" if x is None else f"{labels[i]}^{x[1]}" for x in p.string(i))
+        or "ε"
+        for i in range(p.d)
+    )

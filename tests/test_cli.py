@@ -233,6 +233,23 @@ def test_check_passes_on_cycle(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_check_lower_tail_passes_between_resolution_and_wilson_limit(tmp_path, capsys):
+    # exp(-kappa n) = 0.0021 lies between 1/trials and the Wilson limit of an
+    # empty tail (0.0054), and no walk lands in the tail.
+    code, out, _ = run_cli(
+        capsys,
+        "check",
+        "--family", "cycle", "--D", "50",
+        "--n", "30", "--trials", "1000",
+        "--output", str(tmp_path / "checks.csv"),
+    )
+    assert code == 0
+    assert (
+        "lower_tail_bound: PASS statistic=0.00538276 threshold=0.00210049 "
+        "empirical=0 successes=0"
+    ) in out
+
+
 def test_check_requires_small_cliques(capsys):
     code, _, err = run_cli(
         capsys, "check", "--family", "cycle", "--D", "10", "--trials", "5"

@@ -14,6 +14,7 @@ import pytest
 from gpdrift.drift import PivotIncrementDistribution, drift_lower_bound
 from gpdrift.experiments import (
     TrialBatch,
+    TrialMetrics,
     check_domination,
     check_pivot_step_probability,
     check_lower_tail,
@@ -410,6 +411,39 @@ def test_check_lower_tail_one_step():
     bound = drift_lower_bound(4, 2, 17)
     rep = check_lower_tail(run_batch(batch17(steps=1, trials=400)), 1, bound.kappa)
     assert rep.passed
+
+
+def _flat_metrics(trials: int, n: int, tail_hits: int) -> list[TrialMetrics]:
+    # Syllable length n after step n, except 0 in the first tail_hits trials.
+    return [
+        TrialMetrics(i, 0, (1,) * (n - 1) + ((0 if i < tail_hits else n),), (0,) * n)
+        for i in range(trials)
+    ]
+
+
+def test_check_lower_tail_passes_without_a_tail_event_above_resolution():
+    # 1/trials <= exp(-kappa n) < wilson_upper(0, trials): the Wilson limit of
+    # an empty tail is above the bound, yet no batch could show the bound more
+    # strongly than one without a tail event.
+    trials, n, bound = 1000, 10, 0.003
+    kappa = -math.log(bound) / n
+    assert 1 / trials <= bound < wilson_upper(0, trials)
+    rep = check_lower_tail(_flat_metrics(trials, n, 0), n, kappa)
+    assert rep.passed
+    assert rep.statistic == wilson_upper(0, trials) > rep.threshold
+    assert rep.threshold == pytest.approx(bound)
+    assert rep.detail == "empirical=0 successes=0"
+
+
+def test_check_lower_tail_fails_on_a_tail_event_above_the_bound():
+    trials, n, bound = 1000, 10, 0.003
+    kappa = -math.log(bound) / n
+    rep = check_lower_tail(_flat_metrics(trials, n, 1), n, kappa)
+    assert not rep.passed
+    assert rep.statistic == wilson_upper(1, trials) > bound
+    # a tail event within a loose bound still passes
+    rep = check_lower_tail(_flat_metrics(trials, n, 1), n, 0.01)
+    assert rep.passed and rep.statistic <= rep.threshold
 
 
 def test_check_pivot_step_probability_cycle():

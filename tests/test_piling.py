@@ -175,8 +175,9 @@ def test_is_prefix_matches_tuple_definition():
             r = piling_of_word(u, graph, groups)
             for x, y in [(p, q), (p, r), (q, p), (r, p)]:
                 agree(x, y)
-        # half and full steps of one walk share nodes, so both the identity
-        # and the value comparison of stacks are reached
+        # half and full steps of one walk share the string tuples a step left
+        # alone, so both the identity shortcut and the entry comparison are
+        # reached
         for _ in range(20):
             trace = WalkTrace(graph, groups)
             while trace.n < 12:
@@ -286,6 +287,12 @@ def test_validate_catches_zero_corruption():
     bad = from_strings([((A, 1),), (), ()])  # missing the zero on string c
     with pytest.raises(CorruptPilingError):
         validate(bad, G3)
+
+
+def test_cancellation_rejects_a_missing_trailing_zero():
+    bad = from_strings([((A, 1),), (), ()])  # string c lacks a's zero
+    with pytest.raises(CorruptPilingError, match="no trailing zero on string 2"):
+        append(bad, A, -1, G3, Z3)
 
 
 def test_linearize_rejects_corrupt_piling():

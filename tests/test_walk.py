@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -397,6 +398,34 @@ def test_debug_json_golden():
                 "w": ["b^-2", "c^-3"],
                 "half": "a^1 0, 0 b^2, 0 c^3 0",
                 "full": "a^1, ε, 0",
+            },
+        ],
+        "pivotal_times": [1],
+    }
+
+
+def test_debug_json_renders_the_largest_pareto_value():
+    # u = 1 - random() is at least 2**-53, so at the smallest alpha the
+    # largest draw is 2**5300: 1,596 digits, under the 4,300-digit limit of
+    # int -> str, so the dump must render it whole.
+    big = ParetoLetter(0.01).magnitude(2.0**-53)
+    assert big == 2**5300 and len(str(big)) == 1596
+    steps = [((0, big), ((2, -big),)), ((1, big), ((2, -big),))]
+    doc = WalkTrace.run(G3, Z3, steps).to_debug_json()
+    m = str(big)
+    assert json.loads(json.dumps(doc)) == {
+        "steps": [
+            {
+                "s": f"a^{m}",
+                "w": [f"c^-{m}"],
+                "half": f"a^{m}, ε, 0",
+                "full": f"a^{m} 0, 0, 0 c^-{m}",
+            },
+            {
+                "s": f"b^{m}",
+                "w": [f"c^-{m}"],
+                "half": f"a^{m} 0, 0 b^{m}, 0 c^-{m} 0",
+                "full": f"a^{m} 0 0, 0 b^{m} 0, 0 c^-{m} 0 c^-{m}",
             },
         ],
         "pivotal_times": [1],
