@@ -65,6 +65,7 @@ from .walk import (
     run_walk,
     sample_mu,
     strong_choice_vertices,
+    walk_record,
 )
 
 __version__ = "0.1.0"

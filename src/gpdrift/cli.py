@@ -109,11 +109,12 @@ def _parse_nu(spec: str, graph: Graph, groups):
     if kind == "list":
         index = _label_index(graph)
         with open(rest, "r", encoding="utf-8") as fh:
-            words = [
-                _parse_word(line.strip(), graph, groups, index)
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            ]
+            lines = [line.strip() for line in fh]
+        words = [
+            _parse_word(line, graph, groups, index)
+            for line in lines
+            if line and not line.startswith("#")
+        ]
         return WordChoice(words)
     if kind == "pareto":
         try:

@@ -26,7 +26,7 @@ from typing import BinaryIO, Sequence
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
 from .graphs import Graph, GraphStats, cycle_graphs, graph_stats
 from .groups import VertexGroup
-from .walk import run_walk
+from .walk import run_walk, walk_record  # run_walk: bench/tracer.py wraps this name
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,18 +57,42 @@ class TrialBatch:
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    """One walk's counts after each step.  Step k depends only on steps
-    1..k, so an (n+1)-step batch also holds the n-step walks."""
+    """One walk, reduced as it ran to the counts the checks read.  Each
+    pair holds the value after step ``steps - 1`` and after step
+    ``steps``; step 0 reads 0.  Step k depends only on steps 1..k, so an
+    (n+1)-step batch also holds the n-step walks."""
 
     trial: int
+    steps: int
     pivotal_count: int  # strictly-before-the-horizon count
-    syllable_counts: tuple[int, ...]  # syllable length after each step
-    active_counts: tuple[int, ...]  # surviving candidates after each step
+    syllable_pair: tuple[int, int]  # syllable length
+    active_pair: tuple[int, int]  # surviving candidates
+    gain_pair: tuple[int, int]  # steps that created a surviving candidate
 
     @property
     def syllables(self) -> int:
         """Syllable length at the batch horizon."""
-        return self.syllable_counts[-1] if self.syllable_counts else 0
+        return self.syllable_pair[1]
+
+    def _at(self, pair: tuple[int, int], n: int) -> int:
+        if n < 0 or n not in (self.steps - 1, self.steps):
+            raise ValueError(
+                f"a trial of {self.steps} steps keeps only steps {self.steps - 1} and "
+                f"{self.steps}, not {n}"
+            )
+        return pair[n - self.steps + 1]
+
+    def syllables_at(self, n: int) -> int:
+        """Syllable length after step n."""
+        return self._at(self.syllable_pair, n)
+
+    def active_at(self, n: int) -> int:
+        """Surviving candidates among times 1..n after step n."""
+        return self._at(self.active_pair, n)
+
+    def gains_through(self, n: int) -> int:
+        """Steps among 1..n that created a surviving candidate."""
+        return self._at(self.gain_pair, n)
 
 
 @dataclass(frozen=True)
@@ -99,15 +123,10 @@ class SweepRow:
 
 
 def _trial_metrics(batch: TrialBatch, trial: int) -> TrialMetrics:
-    trace = run_walk(
+    record = walk_record(
         batch.graph, batch.groups, batch.nu, batch.steps, derive_seed(batch.base_seed, trial)
     )
-    return TrialMetrics(
-        trial=trial,
-        pivotal_count=len(trace.pivotal_times()),
-        syllable_counts=tuple(trace.syllable_counts),
-        active_counts=tuple(trace.active_counts),
-    )
+    return TrialMetrics(trial, batch.steps, *record)
 
 
 def _run_block(batch: TrialBatch, lo: int, hi: int) -> list[TrialMetrics]:
@@ -224,7 +243,7 @@ def estimate_drift(metrics: Sequence[TrialMetrics], n: int) -> DriftEstimate:
     """Sample mean and standard error of syllables-per-step after n steps."""
     if n < 1:
         raise ValueError("drift needs at least one step")
-    ratios = [m.syllable_counts[n - 1] / n for m in metrics]
+    ratios = [m.syllables_at(n) / n for m in metrics]
     mean = sum(ratios) / len(ratios)
     if len(ratios) < 2:
         return DriftEstimate(mean, None)
@@ -257,7 +276,7 @@ def check_lower_tail(metrics: Sequence[TrialMetrics], n: int, kappa_value: float
         raise ValueError("need at least one step")
     trials = len(metrics)
     cutoff = kappa_value * n
-    successes = sum(1 for m in metrics if m.syllable_counts[n - 1] <= cutoff)
+    successes = sum(1 for m in metrics if m.syllables_at(n) <= cutoff)
     phat = successes / trials
     bound = math.exp(-kappa_value * n)
     upper = wilson_upper(successes, trials)
@@ -288,15 +307,8 @@ def check_pivot_step_probability(
         )
     if n < 1:
         raise ValueError("need at least one step")
-    events = 0
-    total = 0
-    for m in metrics:
-        prev = 0
-        for count in m.active_counts[:n]:
-            if count >= prev + 1:
-                events += 1
-            total += 1
-            prev = count
+    events = sum(m.gains_through(n) for m in metrics)
+    total = n * len(metrics)
     p0 = (d - b - c) / d
     sigma = math.sqrt(p0 * (1 - p0) / total)
     phat = events / total
@@ -316,7 +328,7 @@ def check_domination(
     """Marginal stochastic domination of the pivotal count after step n+1
     over the count after step n plus an independent increment.
 
-    The walks must have at least n+1 steps.  The increment draws use the
+    The walks must have exactly n+1 steps.  The increment draws use the
     batch's ``base_seed`` with trial indices offset by the trial count, so
     they never collide with the walk streams.  Compares the two empirical
     upper CDFs at every observed level with a 4-sigma combined allowance.
@@ -324,10 +336,10 @@ def check_domination(
     if n < 0:
         raise ValueError("steps must be nonnegative")
     trials = len(metrics)
-    a_next = [m.active_counts[n] for m in metrics]
+    a_next = [m.active_at(n + 1) for m in metrics]
     plus_u = []
     for m in metrics:
-        a_now = m.active_counts[n - 1] if n >= 1 else 0
+        a_now = m.active_at(n) if n >= 1 else 0
         rng = Random(derive_seed(base_seed, trials + m.trial))
         plus_u.append(a_now + dist.sample(rng))
     lo = min(min(a_next), min(plus_u))

@@ -9,10 +9,12 @@ piling remains a prefix of every later half-step and full-step piling.  A
 time that falls off the stack never returns, because the prefix
 requirement quantifies over all intermediate pilings.  No piling is kept;
 the definition scan, the debug dump and pivot replacement replay them
-from the letters and words.
+from the letters and words.  A batch keeps less: :func:`walk_record`
+samples the same walk but keeps only a fixed-size record of it.
 
-The walk folds its letters into a :class:`Kernel`, a mutable piling whose
-trailing zero runs are computed from counts, so a letter costs O(deg).
+Both walks fold their letters into a :class:`Kernel`, a mutable piling
+whose trailing zero runs are computed from counts, so a letter costs
+O(deg); ``Kernel.step`` holds the stack rule below.
 Every letter on a string carries a clock stamp, handed out at its birth,
 and the stack holds ``(time, clock)`` pairs: the clock of time k is the
 stamp of s_k, so the half step of k (its anchor) holds exactly the
@@ -170,37 +172,77 @@ class Kernel:
         self.live = 0  # letters on all strings: the syllable length
         self.clock = 0
 
-    def tail(self, v: int) -> int:
-        cnt = self.cnt
-        run = self.live - cnt[v] - self.zsum[v]
-        for u in self.neighbors[v]:
-            run -= cnt[u]
-        return run
-
     def append(self, v: int, value) -> int:
         """Multiply on the right by one nontrivial letter.  Returns the
         stamp of the entry the letter merged with or cancelled, or of the
         entry it started (a stamp above every earlier one)."""
-        c = self.cnt[v]
-        run = self.tail(v)
+        cnt = self.cnt
+        c = cnt[v]
+        run = self.live - c - self.zsum[v]  # the trailing zero run of string v
+        for u in self.neighbors[v]:
+            run -= cnt[u]
         if c and not run:
-            top = self.strings[v][-1]
+            string = self.strings[v]
+            top = string[-1]
             group = self.groups[v]
             merged = group.multiply(top[0], value)
             if group.is_identity(merged):
-                self.strings[v].pop()
-                self.cnt[v] = c - 1
+                string.pop()
+                cnt[v] = c - 1
                 self.zsum[v] -= top[1]
                 self.live -= 1
             else:
                 top[0] = merged
             return top[2]
         self.clock += 1
-        self.strings.setdefault(v, []).append([value, run, self.clock])
-        self.cnt[v] = c + 1
+        entry = [value, run, self.clock]
+        if c:
+            self.strings[v].append(entry)
+        else:
+            self.strings[v] = [entry]
+        cnt[v] = c + 1
         self.zsum[v] += run
         self.live += 1
         return self.clock
+
+    def fold_word(self, w: tuple) -> int:
+        """Fold a word of several letters; returns the lowest stamp it
+        broke, or a stamp above every anchor (module docstring)."""
+        cnt, strings = self.cnt, self.strings
+        clock, live = self.clock, self.live
+        touched: dict[tuple[int, int], tuple] = {}  # (v, position) -> (value, entry)
+        for v, value in w:
+            c = cnt[v]
+            entry = strings[v][-1] if c else None
+            old = entry[0] if c else None
+            if self.append(v, value) <= clock and (v, c - 1) not in touched:
+                touched[v, c - 1] = (old, entry)
+        sigma = clock + 1
+        for (v, pos), (value, entry) in touched.items():
+            string = strings[v]
+            if pos < len(string) and string[pos][0] == value and string[pos][1] == entry[1]:
+                string[pos][2] = entry[2]
+            elif entry[2] < sigma:
+                sigma = entry[2]
+        if sigma > clock and self.live == live:
+            raise ValueError("nu sampler produced a word equal to the identity")
+        return sigma
+
+    def step(self, stack: list[tuple[int, int]], k: int, v: int, value, w: tuple) -> None:
+        """Fold step k, the letter (v, value) and then the word w, and
+        update the pivotal stack of ``(time, clock)`` pairs: push k when
+        the letter leaves the terminal clique, and pop every anchor that a
+        letter or the word broke (module docstring)."""
+        before = self.clock
+        stamp = self.append(v, value)
+        if stamp > before:
+            stack.append((k, stamp))
+        else:
+            while stack and stack[-1][1] >= stamp:
+                stack.pop()
+        stamp = self.append(*w[0]) if len(w) == 1 else self.fold_word(w)
+        while stack and stack[-1][1] >= stamp:
+            stack.pop()
 
 
 def fold(word: Word, graph: Graph, groups: Sequence[VertexGroup]) -> Kernel:
@@ -300,50 +342,11 @@ class WalkTrace:
         if not w:
             raise ValueError("nu sampler produced an empty word")
         _require_nontrivial((s, *w), self.groups)
-        k = self.n + 1
         self.s_letters.append(s)
         self.nu_words.append(w)
-        kernel, stack = self._kernel, self.stack
-        before = kernel.clock
-        stamp = kernel.append(*s)
-        # Push k when s leaves the terminal clique (module docstring).
-        if stamp > before:
-            stack.append((k, stamp))
-        else:
-            while stack and stack[-1][1] >= stamp:
-                stack.pop()
-        if len(w) == 1:
-            stamp = kernel.append(*w[0])
-        else:
-            stamp = self._fold_word(w)
-        while stack and stack[-1][1] >= stamp:
-            stack.pop()
-        self.syllable_counts.append(kernel.live)
-        self.active_counts.append(len(stack))
-
-    def _fold_word(self, w: tuple) -> int:
-        """Fold a word of several letters; returns the lowest stamp it
-        broke, or a stamp above every anchor (module docstring)."""
-        kernel = self._kernel
-        cnt, strings = kernel.cnt, kernel.strings
-        clock, live = kernel.clock, kernel.live
-        touched: dict[tuple[int, int], tuple] = {}  # (v, position) -> (value, entry)
-        for v, value in w:
-            c = cnt[v]
-            entry = strings[v][-1] if c else None
-            old = entry[0] if c else None
-            if kernel.append(v, value) <= clock:
-                touched.setdefault((v, c - 1), (old, entry))
-        sigma = clock + 1
-        for (v, pos), (value, entry) in touched.items():
-            string = strings[v]
-            if pos < len(string) and string[pos][0] == value and string[pos][1] == entry[1]:
-                string[pos][2] = entry[2]
-            elif entry[2] < sigma:
-                sigma = entry[2]
-        if sigma > clock and kernel.live == live:
-            raise ValueError("nu sampler produced a word equal to the identity")
-        return sigma
+        self._kernel.step(self.stack, self.n, *s, w)
+        self.syllable_counts.append(self._kernel.live)
+        self.active_counts.append(len(self.stack))
 
     def pivotal_times(self) -> tuple[int, ...]:
         """Times pivotal with respect to the walk length (strictly before it)."""
@@ -460,3 +463,52 @@ def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: 
         s = sample_mu(graph, trace.groups, rng)
         trace.extend(s, nu.sample(rng, graph, trace.groups))
     return trace
+
+
+def walk_record(
+    graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int
+) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The walk :func:`run_walk` samples, reduced as it runs to what a
+    batch keeps of it: the same draws in the same order and the same
+    errors, but no letters, words or per-step counts are kept.  A word
+    tuple the sampler returns again is not checked again.
+
+    Returns ``(pivotal_count, syllable_pair, active_pair, gain_pair)``:
+    the candidates strictly before the horizon still on the stack, then
+    the syllable length, the surviving candidates among times 1..k and the
+    steps among 1..k whose time survived its step, each as a pair of the
+    values after step k = steps - 1 and k = steps (step 0 reads 0)."""
+    rng = Random(seed)
+    groups = tuple(groups)
+    randrange, d, sample = rng.randrange, graph.vertex_count, nu.sample
+    kernel = Kernel(graph, groups)
+    step = kernel.step
+    stack: list[tuple[int, int]] = []
+    checked = None
+    gains = 0
+    before = (0, 0, 0)
+    for k in range(1, steps + 1):
+        if k == steps:
+            before = (kernel.live, len(stack), gains)
+        v = randrange(d)
+        group = groups[v]
+        value = group.sample_nontrivial(rng)
+        w = sample(rng, graph, groups)
+        if w is not checked:
+            w = tuple(w)
+            if not w:
+                raise ValueError("nu sampler produced an empty word")
+            _require_nontrivial(((v, value), *w), groups)
+            checked = w
+        elif group.is_identity(value):
+            raise ValueError("letters must be nontrivial vertex-group elements")
+        step(stack, k, v, value, w)
+        if stack and stack[-1][0] == k:
+            gains += 1
+    last = 1 if stack and stack[-1][0] == steps else 0
+    return (
+        len(stack) - last,
+        (before[0], kernel.live),
+        (before[1], len(stack)),
+        (before[2], gains),
+    )

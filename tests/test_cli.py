@@ -186,6 +186,29 @@ def test_nu_word_list_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_nu_word_list_skips_indented_comments(tmp_path, capsys):
+    # blank lines and # comments are skipped wherever the # stands after
+    # leading whitespace, as in edge-list graph files
+    import gpdrift.cli as cli
+    from gpdrift.graphs import cycle_graph
+    from gpdrift.groups import uniform_groups
+
+    words = tmp_path / "words.txt"
+    words.write_text("# a comment\n   # indented comment\n\n  v0^1,v2^-1\n\t# tabbed\n \nv3^2\n")
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--family", "cycle", "--D", "6",
+        "--nu", f"list:{words}",
+        "--n", "10", "--trials", "10",
+        "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 0, err
+    graph, groups = cycle_graph(6), uniform_groups(6)
+    nu = cli._parse_nu(f"list:{words}", graph, groups)
+    assert nu.words == (((0, 1), (2, -1)), ((3, 2),))
+
+
 def test_nu_word_list_parses_with_one_label_map(tmp_path, monkeypatch):
     import gpdrift.cli as cli
     from gpdrift.graphs import cycle_graph

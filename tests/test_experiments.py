@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import math
 import os
 import pickle
@@ -7,6 +8,8 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -30,9 +33,9 @@ from gpdrift.experiments import (
 )
 import gpdrift.experiments as experiments
 from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats
-from gpdrift.groups import groups_from_spec, uniform_groups
+from gpdrift.groups import IntegerGroup, groups_from_spec, uniform_groups
 from gpdrift.piling import render
-from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk
+from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk, walk_record
 
 C17 = cycle_graph(17)
 Z17 = uniform_groups(17)
@@ -250,7 +253,9 @@ class ParentFailsAfterChild:
 
 
 def test_parent_block_error_kills_a_child_blocked_on_its_pipe(monkeypatch, tmp_path):
-    steps, trials = 2000, 40
+    # a trial's record is a few dozen bytes, whatever its steps, so it
+    # takes thousands of trials to fill the pipe
+    steps, trials = 5, 4000
     child_block = run_batch(batch17(steps=steps, trials=trials))[trials // 2:]
     assert len(pickle.dumps((True, child_block), pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     nu = ParentFailsAfterChild(os.getpid(), steps * (trials // 2), tmp_path / "child-done")
@@ -346,9 +351,110 @@ def test_walk_prefix_is_the_shorter_walk(nu):
 
 
 def test_batch_metrics_record_every_step():
-    for m in run_batch(batch17(steps=12, trials=20)):
-        assert len(m.syllable_counts) == len(m.active_counts) == 12
-        assert m.syllables == m.syllable_counts[-1]
+    # the trace of each trial's walk records every step, and the batch
+    # record holds its last two
+    b = batch17(steps=12, trials=20)
+    for m in run_batch(b):
+        trace = run_walk(b.graph, b.groups, b.nu, b.steps, derive_seed(b.base_seed, m.trial))
+        assert len(trace.syllable_counts) == len(trace.active_counts) == 12
+        assert m.syllables == trace.syllable_counts[-1]
+        assert m.syllable_pair == tuple(trace.syllable_counts[-2:])
+        assert m.active_pair == tuple(trace.active_counts[-2:])
+
+
+@dataclass(frozen=True)
+class LeakyIntegers(IntegerGroup):
+    """The integers with a faulty sampler: one draw in 300 is the identity."""
+
+    def sample_nontrivial(self, rng):
+        return 0 if rng.random() < 1 / 300 else rng.choice((1, -1))
+
+
+class FaultyWord:
+    """Nu sampler that draws one uniform per step and, on one draw in 300,
+    returns the bad word it names: an empty word, a word with an identity
+    letter, or a word equal to the identity."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def sample(self, rng, graph, groups):
+        if rng.random() < 1 / 300:
+            return self.bad
+        return ((0, groups[0].from_int(1)),)
+
+
+@pytest.mark.parametrize(
+    "groups, nu",
+    [
+        (MIXED17, FaultyWord(())),
+        (MIXED17, FaultyWord(((1, 1), (3, 0)))),
+        (MIXED17, FaultyWord(((3, 1), (3, -1)))),
+        (tuple([LeakyIntegers()] * 17), FixedWord(((0, 1),))),
+    ],
+    ids=["empty-word", "identity-letter", "identity-word", "identity-s"],
+)
+def test_batch_raises_the_trace_error_of_the_first_failing_trial(monkeypatch, groups, nu):
+    # each trial's record raises where its traced walk raises, and a batch
+    # raises the error of its lowest failing trial at 1 and at 2 workers
+    b = TrialBatch(C17, groups, nu, steps=40, trials=30, base_seed=3)
+    first = None
+    for t in range(b.trials):
+        seed = derive_seed(b.base_seed, t)
+        try:
+            run_walk(C17, groups, nu, b.steps, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                walk_record(C17, groups, nu, b.steps, seed)
+            assert str(info.value) == str(exc)
+            first = first or str(exc)
+        else:
+            walk_record(C17, groups, nu, b.steps, seed)
+    assert first is not None
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GPDRIFT_WORKERS", workers)
+        with pytest.raises(ValueError) as info:
+            run_batch(b)
+        assert str(info.value) == first
+        _assert_no_child_left()
+
+
+def test_trial_metrics_read_only_the_last_two_steps():
+    for steps in (0, 1, 5):
+        b = batch17(steps=steps, trials=1)
+        (m,) = run_batch(b)
+        trace = run_walk(b.graph, b.groups, b.nu, steps, derive_seed(b.base_seed, 0))
+        syllables, active = [0] + trace.syllable_counts, [0] + trace.active_counts
+        kept = range(max(steps - 1, 0), steps + 1)
+        for n in kept:
+            assert (m.syllables_at(n), m.active_at(n)) == (syllables[n], active[n])
+        for n in {-1, steps - 2, steps + 1} - set(kept):
+            for read in (m.syllables_at, m.active_at, m.gains_through):
+                with pytest.raises(ValueError, match=f"keeps only steps .*, not {n}$"):
+                    read(n)
+
+
+def test_batch_memory_does_not_grow_with_steps(monkeypatch):
+    # a batch keeps a fixed-size record per trial: 20,000-step walks leave
+    # what 2,000-step walks leave, not ten times as much
+    monkeypatch.setenv("GPDRIFT_WORKERS", "1")
+
+    def retained(steps):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metrics = run_batch(batch17(steps=steps, trials=4))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(metrics) == 4
+        return kept
+
+    short, long = retained(2_000), retained(20_000)
+    assert long - short < 2048, (short, long)
 
 
 def test_run_batch_validation():
@@ -416,7 +522,7 @@ def test_check_lower_tail_one_step():
 def _flat_metrics(trials: int, n: int, tail_hits: int) -> list[TrialMetrics]:
     # Syllable length n after step n, except 0 in the first tail_hits trials.
     return [
-        TrialMetrics(i, 0, (1,) * (n - 1) + ((0 if i < tail_hits else n),), (0,) * n)
+        TrialMetrics(i, n, 0, (1, 0 if i < tail_hits else n), (0, 0), (0, 0))
         for i in range(trials)
     ]
 
@@ -564,7 +670,7 @@ def test_log_spaced_ints():
 def test_chain_inequality_across_batch():
     for m in run_batch(batch17(steps=15, trials=100)):
         assert m.pivotal_count <= m.syllables
-        assert m.active_counts[-1] <= m.syllables
+        assert m.active_at(15) <= m.syllables
 
 
 def test_kappa_depends_only_on_graph_constants():

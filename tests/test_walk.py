@@ -21,6 +21,7 @@ from gpdrift.walk import (
     run_walk,
     sample_mu,
     strong_choice_vertices,
+    walk_record,
 )
 
 from oracles import MIXED6, destroy_and_rebuild, random_graph, random_word
@@ -219,6 +220,75 @@ def test_identity_nu_word_rejected():
     # the word takes s off and puts it back
     with pytest.raises(ValueError, match=message):
         WalkTrace.run(G3, Z3, [((2, 1), ((2, -1), (2, 1)))])
+
+
+def _record_of(trace: WalkTrace) -> tuple:
+    """The record of a traced walk, read off its per-step counts: a step
+    gains when its candidate count rises (the step check's definition)."""
+    syllables = [0] + trace.syllable_counts
+    active = [0] + trace.active_counts
+    gains = [0]
+    for k in range(1, len(active)):
+        gains.append(gains[-1] + (active[k] >= active[k - 1] + 1))
+    pair = lambda xs: (xs[-2] if len(xs) > 1 else 0, xs[-1])
+    return len(trace.pivotal_times()), pair(syllables), pair(active), pair(gains)
+
+
+def _outcome(walk_fn, *args):
+    try:
+        return walk_fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+RECORD_GROUPS = (IntegerGroup(), CyclicGroup(2), CyclicGroup(3))
+
+
+def test_walk_record_matches_the_trace():
+    # one seed, one walk: the record equals what run_walk's trace gives,
+    # or both raise the same error
+    rng = Random(2024)
+    errors = 0
+    for _ in range(60):
+        d = rng.randrange(1, 9)
+        graph = random_graph(d, rng.random(), rng)
+        groups = tuple(rng.choice(RECORD_GROUPS) for _ in range(d))
+        word = lambda: tuple(random_word(graph, groups, rng.randrange(1, 5), rng))
+        samplers = [
+            FixedWord(word()),
+            WordChoice([word() for _ in range(rng.randrange(1, 4))]),
+            ParetoLetter(rng.choice((0.5, 1.1, 2.0))),
+        ]
+        if d >= 4:
+            samplers.append(FixedWord(destroy_and_rebuild(groups)))
+            samplers.append(WordChoice([destroy_and_rebuild(groups), word()]))
+        for nu in samplers:
+            for steps in (0, 1, 2, 3, rng.randrange(4, 40)):
+                seed = rng.randrange(10**6)
+                traced = _outcome(run_walk, graph, groups, nu, steps, seed)
+                expected = traced if isinstance(traced, str) else _record_of(traced)
+                assert _outcome(walk_record, graph, groups, nu, steps, seed) == expected
+                errors += isinstance(traced, str)
+    assert errors  # some random words are the identity
+
+
+def test_walk_record_draws_like_run_walk():
+    # the documented order: randrange(D), the group's sampler, nu.sample
+    graph, groups = cycle_graph(6), MIXED6
+    draws = {}
+    for name, fn in (("trace", run_walk), ("record", walk_record)):
+        nu = WordChoice([((0, 1),), destroy_and_rebuild(groups)])
+        calls = []
+        real = nu.sample
+
+        def sample(rng, g, gr, real=real, calls=calls):
+            calls.append(rng.getstate())
+            return real(rng, g, gr)
+
+        nu.sample = sample
+        fn(graph, groups, nu, 50, 9)
+        draws[name] = calls
+    assert draws["trace"] == draws["record"] and len(draws["trace"]) == 50
 
 
 def test_empty_nu_word_rejected():
