@@ -244,7 +244,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.D_list:
+    if args.D_list is not None:
         try:
             d_values = sorted({int(x) for x in args.D_list.split(",") if x.strip()})
         except ValueError as exc:

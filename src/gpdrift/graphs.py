@@ -55,8 +55,9 @@ class Graph:
         """Per vertex: the other vertices it does not commute past.
 
         Lazy because it is quadratic in the vertex count; only ``Piling``
-        operations need it.  The walk kernel, word parsing and clique
-        statistics read ``neighbors`` instead.  Every row
+        operations need it.  The walk kernel, strong choices and pivot
+        replacement, word parsing and clique statistics read ``neighbors``
+        instead.  Every row
         draws its indices from one tuple, so the rows share int objects
         instead of each holding its own copies of those above 256.
         """

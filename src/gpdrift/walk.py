@@ -8,13 +8,15 @@ candidate pivotal times: a time k stays on the stack while its half-step
 piling remains a prefix of every later half-step and full-step piling.  A
 time that falls off the stack never returns, because the prefix
 requirement quantifies over all intermediate pilings.  No piling is kept;
-the definition scan, the debug dump and pivot replacement replay them
-from the letters and words.  A batch keeps less: :func:`walk_record`
-samples the same walk but keeps only a fixed-size record of it.
+the definition scan and the debug dump replay them from the letters and
+words.  A batch keeps less: :func:`walk_record` samples the same walk but
+keeps only a fixed-size record of it.
 
 Both walks fold their letters into a :class:`Kernel`, a mutable piling
 whose trailing zero runs are computed from counts, so a letter costs
-O(deg); ``Kernel.step`` holds the stack rule below.
+O(deg); ``Kernel.step`` holds the stack rule below.  Pivot replacement
+reads the strong choice off the kernels of the prefix and of the word,
+through their terminal and initial cliques, and builds no piling.
 Every letter on a string carries a clock stamp, handed out at its birth,
 and the stack holds ``(time, clock)`` pairs: the clock of time k is the
 stamp of s_k, so the half step of k (its anchor) holds exactly the
@@ -66,7 +68,6 @@ from .piling import (
     is_prefix,
     piling_of_word,
     render,
-    term,
 )
 
 MuLetter = tuple[int, object]  # (vertex, nontrivial element)
@@ -205,6 +206,19 @@ class Kernel:
         self.live += 1
         return self.clock
 
+    def term(self) -> frozenset[int]:
+        """Vertices whose string ends in a nontrivial element (a clique):
+        non-empty, with a trailing zero run of 0."""
+        cnt, zsum, live = self.cnt, self.zsum, self.live
+        return frozenset(
+            v for v, string in self.strings.items()
+            if string and live - len(string) - zsum[v] == sum(cnt[u] for u in self.neighbors[v])
+        )
+
+    def init(self) -> frozenset[int]:
+        """Vertices whose string starts with a nontrivial element (a clique)."""
+        return frozenset(v for v, string in self.strings.items() if string and string[0][1] == 0)
+
     def fold_word(self, w: tuple) -> int:
         """Fold a word of several letters; returns the lowest stamp it
         broke, or a stamp above every anchor (module docstring)."""
@@ -260,17 +274,6 @@ def _require_nontrivial(letters, groups: Sequence[VertexGroup]) -> None:
             raise ValueError("letters must be nontrivial vertex-group elements")
 
 
-def _fold(
-    f_prev: Piling, s: MuLetter, w: Word, graph: Graph, groups: Sequence[VertexGroup]
-) -> tuple[Piling, Piling]:
-    """The half step f_prev·s and the full step f_prev·s·w."""
-    half = append(f_prev, s[0], s[1], graph, groups)
-    full = half
-    for wv, wval in w:
-        full = append(full, wv, wval, graph, groups)
-    return half, full
-
-
 class WalkTrace:
     """One walk's letters and words, its counts, and the live pivotal stack.
 
@@ -278,8 +281,9 @@ class WalkTrace:
     candidates as ``(time, clock)`` pairs; and per step k,
     ``syllable_counts[k-1]``, its syllable length, and
     ``active_counts[k-1]``, the surviving candidates among times 1..k (the
-    inclusive count the step-increment experiments use).  The pilings are
-    replayed on demand by :meth:`pilings` and ``piling``.
+    inclusive count the step-increment experiments use).  ``kernel`` is the
+    walk folded so far; the pilings are replayed on demand by
+    :meth:`pilings`.
     """
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
@@ -290,7 +294,7 @@ class WalkTrace:
         self.stack: list[tuple[int, int]] = []
         self.syllable_counts: list[int] = []
         self.active_counts: list[int] = []
-        self._kernel = Kernel(graph, self.groups)
+        self.kernel = Kernel(graph, self.groups)
 
     @classmethod
     def run(
@@ -308,27 +312,20 @@ class WalkTrace:
     def n(self) -> int:
         return len(self.s_letters)
 
-    @property
-    def piling(self) -> Piling:
-        """The full-step piling after the last step, replayed."""
-        return self.piling_after(self.n)
-
     def pilings(self, k: int | None = None) -> tuple[list[Piling], list[Piling]]:
         """Replay the half-step and the full-step piling of each of the
         first k steps (of every step when k is None)."""
         half: list[Piling] = []
         full: list[Piling] = []
-        f = empty_piling(self.graph.vertex_count)
+        graph, groups = self.graph, self.groups
+        f = empty_piling(graph.vertex_count)
         for s, w in zip(self.s_letters[:k], self.nu_words[:k]):
-            h, f = _fold(f, s, w, self.graph, self.groups)
-            half.append(h)
+            f = append(f, *s, graph, groups)
+            half.append(f)
+            for letter in w:
+                f = append(f, *letter, graph, groups)
             full.append(f)
         return half, full
-
-    def piling_after(self, k: int) -> Piling:
-        """The full-step piling after k steps (k = 0 gives the identity),
-        replayed from the first k steps."""
-        return self.pilings(k)[1][k - 1] if k > 0 else empty_piling(self.graph.vertex_count)
 
     def extend(self, s: MuLetter, w: Word) -> None:
         """Fold one (letter, word) step in and update the pivotal stack.
@@ -344,8 +341,8 @@ class WalkTrace:
         _require_nontrivial((s, *w), self.groups)
         self.s_letters.append(s)
         self.nu_words.append(w)
-        self._kernel.step(self.stack, self.n, *s, w)
-        self.syllable_counts.append(self._kernel.live)
+        self.kernel.step(self.stack, self.n, *s, w)
+        self.syllable_counts.append(self.kernel.live)
         self.active_counts.append(len(self.stack))
 
     def pivotal_times(self) -> tuple[int, ...]:
@@ -393,14 +390,15 @@ def is_local_geodesic(
 
 
 def strong_choice_vertices(
-    f_prev: Piling, w: Word, graph: Graph, groups: Sequence[VertexGroup]
+    f_prev: Kernel, w: Word, graph: Graph, groups: Sequence[VertexGroup]
 ) -> frozenset[int]:
-    """All vertices whose letters qualify under the strong pivot condition:
-    stronger than local geodesic, the vertex also avoids the closed
-    neighbourhood of the word's initial clique, so swapping it in cannot
-    disturb any other pivotal time."""
-    w_init = init(piling_of_word(w, graph, groups))
-    blocked = set(term(f_prev)) | set(w_init)
+    """All vertices whose letters qualify under the strong pivot condition
+    after the walk folded into ``f_prev``: stronger than local geodesic,
+    the vertex also avoids the closed neighbourhood of the word's initial
+    clique, so swapping it in cannot disturb any other pivotal time."""
+    _require_nontrivial(w, groups)
+    w_init = fold(w, graph, groups).init()
+    blocked = set(f_prev.term()) | w_init
     for u in w_init:
         blocked |= graph.neighbors[u]
     return frozenset(range(graph.vertex_count)) - blocked
@@ -443,7 +441,7 @@ def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:
     steps = list(zip(trace.s_letters, trace.nu_words))
     rebuilt = WalkTrace.run(trace.graph, trace.groups, steps[: k - 1])
     w = steps[k - 1][1]
-    if s_new[0] not in strong_choice_vertices(rebuilt.piling, w, trace.graph, trace.groups):
+    if s_new[0] not in strong_choice_vertices(rebuilt.kernel, w, trace.graph, trace.groups):
         raise ValueError("replacement letter fails the strong pivot condition")
     for s, word in [(s_new, w)] + steps[k:]:
         rebuilt.extend(s, word)

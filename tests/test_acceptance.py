@@ -39,6 +39,7 @@ from gpdrift.piling import (
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
+    WalkTrace,
     WordChoice,
     pivot_replace,
     pivotal_times_bruteforce,
@@ -214,7 +215,7 @@ def test_criterion_4_pivotal_times_against_bruteforce():
     for i, n in enumerate(sizes):
         trace = run_walk(graph, groups, _nu_for(i), n, 1_000_000 + i)
         assert list(trace.pivotal_times()) == pivotal_times_bruteforce(trace)
-        syl = trace.piling.syllables
+        syl = trace.syllable_counts[-1]
         assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
     report(4, "incremental pivotal stack == definition scan on 10^3 walks", time.perf_counter() - t0, budget=120.0)
@@ -235,9 +236,9 @@ def test_criterion_5_pivot_replacement_invariance():
         if not times:
             continue
         k = times[rng.randrange(len(times))]
-        options = strong_choice_vertices(
-            trace.piling_after(k - 1), trace.nu_words[k - 1], graph, groups
-        )
+        steps = list(zip(trace.s_letters, trace.nu_words))
+        f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+        options = strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups)
         if not options:
             continue
         v = sorted(options)[rng.randrange(len(options))]

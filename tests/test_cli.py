@@ -315,6 +315,16 @@ def test_sweep_bad_list(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d_list", ["", ","], ids=["empty", "comma"])
+def test_sweep_empty_list(tmp_path, capsys, d_list):
+    # an explicit empty list is refused, not read as "no list given"
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--D-list", d_list, "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert "cycle lengths must be at least 3" in err
+    assert not out_path.exists()
+
+
 def test_sweep_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     run_cli(capsys, "sweep", "--D-list", "17,40,90", "--output", str(p1))

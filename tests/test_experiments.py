@@ -34,7 +34,6 @@ from gpdrift.experiments import (
 import gpdrift.experiments as experiments
 from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats
 from gpdrift.groups import IntegerGroup, groups_from_spec, uniform_groups
-from gpdrift.piling import render
 from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk, walk_record
 
 C17 = cycle_graph(17)
@@ -347,7 +346,7 @@ def test_walk_prefix_is_the_shorter_walk(nu):
         assert long.nu_words[:30] == short.nu_words
         assert long.active_counts[:30] == short.active_counts
         assert long.syllable_counts[:30] == short.syllable_counts
-        assert render(long.piling_after(30), C17.labels) == render(short.piling, C17.labels)
+        assert long.pilings(30) == short.pilings()
 
 
 def test_batch_metrics_record_every_step():
@@ -496,7 +495,7 @@ def test_exact_drift_two_when_letters_never_collide():
     n = 25
     steps = [((k % 3, 1), ((3, 1),)) for k in range(n)]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling.syllables / n == 2.0
+    assert trace.syllable_counts[-1] / n == 2.0
 
 
 def test_wilson_upper_monotone_and_bounded():

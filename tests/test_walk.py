@@ -14,7 +14,7 @@ from gpdrift.walk import (
     ParetoLetter,
     WalkTrace,
     WordChoice,
-    _fold,
+    fold,
     is_local_geodesic,
     pivot_replace,
     pivotal_times_bruteforce,
@@ -64,7 +64,7 @@ def test_zero_step_walk():
     trace = small_walk(steps=0)
     assert trace.n == 0
     assert trace.pivotal_times() == ()
-    assert trace.piling.syllables == 0 and trace.syllable_counts == []
+    assert trace.kernel.live == 0 and trace.syllable_counts == []
 
 
 def test_determinism():
@@ -82,7 +82,7 @@ def test_free_product_no_cancellation_walk():
     n = 15
     steps = [((k % 3, 1), ((3, 1),)) for k in range(n)]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling.syllables == 2 * n
+    assert trace.syllable_counts[-1] == 2 * n
     assert trace.pivotal_times() == tuple(range(1, n))
     assert pivotal_times_bruteforce(trace) == list(range(1, n))
     assert trace.active_counts == list(range(1, n + 1))
@@ -94,7 +94,7 @@ def test_pivot_popped_after_exact_inversion():
     groups = uniform_groups(2)
     steps = [((0, 1), ((1, 1),)), ((1, -1), ((0, -1),))]
     trace = WalkTrace.run(graph, groups, steps)
-    assert trace.piling.syllables == 0
+    assert trace.syllable_counts[-1] == 0
     assert trace.pivotal_times() == ()
     assert trace.active_counts == [1, 0]
     assert pivotal_times_bruteforce(trace) == []
@@ -106,15 +106,15 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     # cancels s = a, so time 2 is pushed and popped while time 1 stays.
     steps = [((2, 1), ((1, 1),)), ((0, 1), ((1, 1), (0, -1)))]
     trace = WalkTrace.run(G3, Z3, steps)
-    assert not is_local_geodesic(trace.piling_after(1), *steps[1], G3, Z3)
-    assert trace.piling.syllables == 2
+    assert not is_local_geodesic(trace.pilings()[1][0], *steps[1], G3, Z3)
+    assert trace.syllable_counts[-1] == 2
     assert [t for t, _ in trace.stack] == [1]
     assert trace.active_counts == [1, 1]
     assert trace.pivotal_times() == (1,)
     assert pivotal_times_bruteforce(trace) == [1]
     # the same word after s = a^2 merges into it instead of cancelling
     trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
-    assert trace.pilings()[0][1].syllables == 3 and trace.piling.syllables == 3
+    assert trace.pilings()[0][1].syllables == 3 and trace.syllable_counts[-1] == 3
     assert [t for t, _ in trace.stack] == [1]
 
 
@@ -135,22 +135,24 @@ def test_local_geodesic_growth():
     for _ in range(400):
         graph = random_graph(rng.randrange(2, 7), rng.random(), rng)
         groups = uniform_groups(graph.vertex_count)
-        f_prev = piling_of_word(random_word(graph, groups, 8, rng), graph, groups)
+        prefix = random_word(graph, groups, 8, rng)
+        f_prev = piling_of_word(prefix, graph, groups)
         s = sample_mu(graph, groups, rng)
         w = tuple(random_word(graph, groups, rng.randrange(1, 4), rng))
         if piling_of_word(w, graph, groups).syllables == 0:
             continue
         if not is_local_geodesic(f_prev, s, w, graph, groups):
             continue
-        half, full = _fold(f_prev, s, w, graph, groups)
+        half = piling_of_word([*prefix, s], graph, groups)
+        full = piling_of_word([*prefix, s, *w], graph, groups)
         assert f_prev.syllables < half.syllables < full.syllables
         grown += 1
     assert grown > 50
 
 
-def test_piling_after_replays_only_the_first_k_steps(monkeypatch):
+def test_pilings_replay_only_the_first_k_steps(monkeypatch):
     trace = small_walk(steps=12, seed=3, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
-    full = trace.pilings()[1]
+    half, full = trace.pilings()
     calls = 0
 
     def counting_append(*args):
@@ -161,9 +163,9 @@ def test_piling_after_replays_only_the_first_k_steps(monkeypatch):
     monkeypatch.setattr(walk, "append", counting_append)
     for k in range(trace.n + 1):
         calls = 0
-        p = trace.piling_after(k)
+        replayed = trace.pilings(k)
         assert calls == sum(1 + len(w) for w in trace.nu_words[:k])
-        assert p == (full[k - 1] if k else piling_of_word([], trace.graph, trace.groups))
+        assert replayed == (half[:k], full[:k])
 
 
 def test_stack_nesting_invariant():
@@ -326,12 +328,13 @@ def test_strong_choice_implies_local_geodesic():
         d = rng.randrange(2, 8)
         graph = random_graph(d, rng.random(), rng)
         groups = uniform_groups(d)
-        f_prev = piling_of_word(random_word(graph, groups, 6, rng), graph, groups)
+        prefix = random_word(graph, groups, 6, rng)
+        f_prev = piling_of_word(prefix, graph, groups)
         s = sample_mu(graph, groups, rng)
         w = tuple(random_word(graph, groups, rng.randrange(1, 3), rng))
         if piling_of_word(w, graph, groups).syllables == 0:
             continue
-        if s[0] in strong_choice_vertices(f_prev, w, graph, groups):
+        if s[0] in strong_choice_vertices(fold(prefix, graph, groups), w, graph, groups):
             strong_seen += 1
             assert is_local_geodesic(f_prev, s, w, graph, groups)
     assert strong_seen > 100
@@ -344,16 +347,50 @@ def test_strong_choice_vertex_count_bound():
     lower = stats.vertex_count - stats.max_neighbourhood - stats.max_clique
     rng = Random(35)
     for _ in range(100):
-        f_prev = piling_of_word(random_word(graph, groups, 12, rng), graph, groups)
+        f_prev = fold(random_word(graph, groups, 12, rng), graph, groups)
         w = tuple(random_word(graph, groups, 1, rng))
         assert len(strong_choice_vertices(f_prev, w, graph, groups)) >= lower
 
 
 def test_strong_choice_rejects_neighbour_of_init():
-    f0 = piling_of_word([], G3, Z3)
+    f0 = fold([], G3, Z3)
     # word starts at b; a is adjacent to b, so a is not a strong choice
     assert 0 not in strong_choice_vertices(f0, ((1, 1),), G3, Z3)
     assert 2 in strong_choice_vertices(f0, ((1, 1),), G3, Z3)
+    with pytest.raises(ValueError, match="nontrivial"):
+        strong_choice_vertices(f0, ((1, 1), (2, 0)), G3, Z3)
+
+
+def test_strong_choice_always_gains():
+    # a letter that is a strong choice for its step pushes its time, and
+    # the word after it leaves that time on top of the stack
+    rng = Random(3)
+    for _ in range(3000):
+        d = rng.randrange(3, 12)
+        graph = random_graph(d, rng.random(), rng)
+        groups = tuple(rng.choice(RECORD_GROUPS) for _ in range(d))
+        trace = WalkTrace(graph, groups)
+        for _ in range(rng.randrange(1, 15)):
+            s = sample_mu(graph, groups, rng)
+            w = tuple(random_word(graph, groups, rng.randrange(1, 4), rng))
+            if not fold(w, graph, groups).live:
+                continue  # an identity word is no step
+            strong = s[0] in strong_choice_vertices(trace.kernel, w, graph, groups)
+            trace.extend(s, w)
+            if strong:
+                assert trace.stack and trace.stack[-1][0] == trace.n
+
+
+def test_kernel_cliques_match_the_piling():
+    rng = Random(37)
+    for _ in range(10_000):
+        d = rng.randrange(1, 9)
+        graph = random_graph(d, rng.random(), rng)
+        groups = tuple(rng.choice(RECORD_GROUPS) for _ in range(d))
+        word = random_word(graph, groups, rng.randrange(0, 12), rng)
+        kernel, piling = fold(word, graph, groups), piling_of_word(word, graph, groups)
+        assert kernel.term() == term(piling)
+        assert kernel.init() == init(piling)
 
 
 def test_pivot_replace_identity():
@@ -361,15 +398,15 @@ def test_pivot_replace_identity():
     groups = uniform_groups(8)
     for seed in range(40):
         trace = run_walk(graph, groups, FixedWord(((0, 1),)), 25, seed)
+        steps = list(zip(trace.s_letters, trace.nu_words))
         for k in trace.pivotal_times():
             s = trace.s_letters[k - 1]
-            if s[0] not in strong_choice_vertices(
-                trace.piling_after(k - 1), trace.nu_words[k - 1], graph, groups
-            ):
+            f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+            if s[0] not in strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups):
                 continue
             again = pivot_replace(trace, k, s)
             assert again.pivotal_times() == trace.pivotal_times()
-            assert again.piling == trace.piling
+            assert again.pilings() == trace.pilings()
             break
 
 
@@ -382,11 +419,11 @@ def test_pivot_replace_preserves_pivotal_times():
     while replaced < 60:
         seed += 1
         trace = run_walk(graph, groups, WordChoice([((0, 1),), ((4, -1),)]), 20, seed)
+        steps = list(zip(trace.s_letters, trace.nu_words))
         options = []
         for k in trace.pivotal_times():
-            vs = strong_choice_vertices(
-                trace.piling_after(k - 1), trace.nu_words[k - 1], graph, groups
-            )
+            f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+            vs = strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups)
             if vs:
                 options.append((k, vs))
         if not options:
@@ -427,7 +464,7 @@ def test_chain_inequality_and_pivot_growth():
     for seed in range(30):
         trace = run_walk(graph, groups, ParetoLetter(1.2), 30, seed)
         n = trace.n
-        syl = trace.piling.syllables
+        syl = trace.syllable_counts[-1]
         assert len(trace.pivotal_times()) <= syl
         assert trace.active_counts[-1] <= syl
         # the strict chain along pivotal times
@@ -580,3 +617,18 @@ def test_walks_never_replay_pilings(graph, groups, nu, steps, seeds, monkeypatch
         trace = run_walk(graph, groups, nu, steps, seed)
         assert trace.active_counts[-1] > 0
     assert calls == {"append": 0, "is_prefix": 0}
+
+
+def test_pivot_replacement_never_builds_the_quadratic_table():
+    # the strong choice is read off kernels, so a long cycle never gets
+    # the O(D^2) table that Piling operations cache on the graph
+    graph = cycle_graph(2000)
+    groups = uniform_groups(2000)
+    trace = run_walk(graph, groups, ParetoLetter(1.1), 200, 7)
+    steps = list(zip(trace.s_letters, trace.nu_words))
+    k = trace.pivotal_times()[len(trace.pivotal_times()) // 2]
+    f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+    v = min(strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups))
+    swapped = pivot_replace(trace, k, (v, 1))
+    assert swapped.pivotal_times() == trace.pivotal_times()
+    assert "nonneighbors" not in graph.__dict__
