@@ -24,6 +24,10 @@ class VertexGroup:
         raise NotImplementedError
 
     def sample_nontrivial(self, rng: Random):
+        """A random non-identity element.  The built-in groups consume
+        ``rng`` exactly as ``choice``/``randrange`` would (the same values
+        and the same state afterwards); a custom group may draw any way it
+        likes."""
         raise NotImplementedError
 
     def from_int(self, k: int):
@@ -45,7 +49,11 @@ class IntegerGroup(VertexGroup):
         return x == 0
 
     def sample_nontrivial(self, rng: Random):
-        return rng.choice((1, -1))
+        # rng.choice((1, -1)): 1 for r = 0, -1 for r = 1
+        r = rng.getrandbits(2)
+        while r >= 2:
+            r = rng.getrandbits(2)
+        return -1 if r else 1
 
     def from_int(self, k: int):
         return int(k)
@@ -71,7 +79,13 @@ class CyclicGroup(VertexGroup):
         return x % self.modulus == 0
 
     def sample_nontrivial(self, rng: Random):
-        return rng.randrange(1, self.modulus)
+        # rng.randrange(1, modulus)
+        n = self.modulus - 1
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return 1 + r
 
     def from_int(self, k: int):
         return k % self.modulus

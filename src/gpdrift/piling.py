@@ -14,9 +14,9 @@ entries, bottom to top, one per nontrivial letter, where ``zeros_before``
 counts the zero markers just below that letter; the trailing run of each
 string is kept apart in ``_tails``.  An append rebuilds only the string
 it touches, so pilings replayed from one walk share every other string
-tuple, and ``is_prefix`` settles those on identity.  The walk and pivot
-replacement fold their letters into the mutable kernel of ``walk``;
-pilings serve replays, the definition scan, the debug dump and the
+tuple, and ``is_prefix`` settles those on identity.  The walk, pivot
+replacement and the debug dump fold their letters into the mutable
+kernel of ``walk``; pilings serve replays, the definition scan and the
 tests.  ``string()`` materializes the conventional letter sequence
 (``None`` is the zero marker, ``(vertex, value)`` a nontrivial letter)
 for rendering, linearization, and invariant checks.

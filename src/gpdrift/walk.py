@@ -8,9 +8,10 @@ candidate pivotal times: a time k stays on the stack while its half-step
 piling remains a prefix of every later half-step and full-step piling.  A
 time that falls off the stack never returns, because the prefix
 requirement quantifies over all intermediate pilings.  No piling is kept;
-the definition scan and the debug dump replay them from the letters and
-words.  A batch keeps less: :func:`walk_record` samples the same walk but
-keeps only a fixed-size record of it.
+the definition scan replays them from the letters and words, and the
+debug dump renders each step from a kernel replay.  A batch keeps less:
+:func:`walk_record` samples the same walk but keeps only a fixed-size
+record of it.
 
 Both walks fold their letters into a :class:`Kernel`, a mutable piling
 whose trailing zero runs are computed from counts, so a letter costs
@@ -67,7 +68,6 @@ from .piling import (
     init,
     is_prefix,
     piling_of_word,
-    render,
 )
 
 MuLetter = tuple[int, object]  # (vertex, nontrivial element)
@@ -79,7 +79,14 @@ _MIN_ALPHA = 0.01
 
 def sample_mu(graph: Graph, groups: Sequence[VertexGroup], rng: Random) -> MuLetter:
     """Uniform vertex, then that group's nontrivial-element sampler."""
-    vertex = rng.randrange(graph.vertex_count)
+    d = graph.vertex_count
+    k = d.bit_length()
+    if not k:
+        raise ValueError("graph needs at least one vertex")
+    # rng.randrange(d)
+    vertex = rng.getrandbits(k)
+    while vertex >= d:
+        vertex = rng.getrandbits(k)
     return vertex, groups[vertex].sample_nontrivial(rng)
 
 
@@ -105,9 +112,15 @@ class WordChoice:
         self.words = tuple(tuple(w) for w in words)
         if any(not w for w in self.words):
             raise ValueError("nu words must be nonempty")
+        self._bits = len(self.words).bit_length()
 
     def sample(self, rng: Random, graph: Graph, groups: Sequence[VertexGroup]) -> Word:
-        return self.words[rng.randrange(len(self.words))]
+        # rng.randrange(len(words))
+        words, k = self.words, self._bits
+        r = rng.getrandbits(k)
+        while r >= len(words):
+            r = rng.getrandbits(k)
+        return words[r]
 
 
 class ParetoLetter:
@@ -140,7 +153,14 @@ class ParetoLetter:
                 return int(Decimal(u) ** Decimal(-e))
 
     def sample(self, rng: Random, graph: Graph, groups: Sequence[VertexGroup]) -> Word:
-        v = rng.randrange(graph.vertex_count)
+        d = graph.vertex_count
+        k = d.bit_length()
+        if not k:
+            raise ValueError("graph needs at least one vertex")
+        # rng.randrange(d)
+        v = rng.getrandbits(k)
+        while v >= d:
+            v = rng.getrandbits(k)
         group = groups[v]
         while True:
             magnitude = self.magnitude(1.0 - rng.random())  # u in (0, 1]
@@ -177,9 +197,9 @@ class Kernel:
         """Multiply on the right by one nontrivial letter.  Returns the
         stamp of the entry the letter merged with or cancelled, or of the
         entry it started (a stamp above every earlier one)."""
-        cnt = self.cnt
+        cnt, zsum = self.cnt, self.zsum
         c = cnt[v]
-        run = self.live - c - self.zsum[v]  # the trailing zero run of string v
+        run = self.live - c - zsum[v]  # the trailing zero run of string v
         for u in self.neighbors[v]:
             run -= cnt[u]
         if c and not run:
@@ -190,7 +210,7 @@ class Kernel:
             if group.is_identity(merged):
                 string.pop()
                 cnt[v] = c - 1
-                self.zsum[v] -= top[1]
+                zsum[v] -= top[1]
                 self.live -= 1
             else:
                 top[0] = merged
@@ -202,7 +222,7 @@ class Kernel:
         else:
             self.strings[v] = [entry]
         cnt[v] = c + 1
-        self.zsum[v] += run
+        zsum[v] += run
         self.live += 1
         return self.clock
 
@@ -218,6 +238,21 @@ class Kernel:
     def init(self) -> frozenset[int]:
         """Vertices whose string starts with a nontrivial element (a clique)."""
         return frozenset(v for v, string in self.strings.items() if string and string[0][1] == 0)
+
+    def render(self, labels: Sequence[str]) -> str:
+        """What ``piling.render`` prints for this piling: per string, each
+        entry's zero run and ``label^value``, then the trailing run, or
+        ``ε`` for an empty string."""
+        cnt, zsum, live, neighbors = self.cnt, self.zsum, self.live, self.neighbors
+        out = []
+        for v, label in enumerate(labels):
+            parts = []
+            for value, zeros, _ in self.strings.get(v, ()):
+                parts += ["0"] * zeros
+                parts.append(f"{label}^{value}")
+            parts += ["0"] * (live - cnt[v] - zsum[v] - sum(cnt[u] for u in neighbors[v]))
+            out.append(" ".join(parts) or "ε")
+        return ", ".join(out)
 
     def fold_word(self, w: tuple) -> int:
         """Fold a word of several letters; returns the lowest stamp it
@@ -254,7 +289,11 @@ class Kernel:
         else:
             while stack and stack[-1][1] >= stamp:
                 stack.pop()
-        stamp = self.append(*w[0]) if len(w) == 1 else self.fold_word(w)
+        if len(w) == 1:
+            ((u, x),) = w
+            stamp = self.append(u, x)
+        else:
+            stamp = self.fold_word(w)
         while stack and stack[-1][1] >= stamp:
             stack.pop()
 
@@ -351,21 +390,23 @@ class WalkTrace:
         return tuple(t for t, _ in self.stack if t < n)
 
     def to_debug_json(self) -> dict:
+        """Each step's letter, word and rendered half-step and full-step
+        pilings, replayed through one fresh kernel, and the pivotal times."""
         labels = self.graph.labels
-        return {
-            "steps": [
-                {
-                    "s": f"{labels[v]}^{val}",
-                    "w": [f"{labels[wv]}^{wval}" for wv, wval in word],
-                    "half": render(h, labels),
-                    "full": render(f, labels),
-                }
-                for (v, val), word, h, f in zip(
-                    self.s_letters, self.nu_words, *self.pilings()
-                )
-            ],
-            "pivotal_times": list(self.pivotal_times()),
-        }
+        kernel = Kernel(self.graph, self.groups)
+        steps = []
+        for (v, val), word in zip(self.s_letters, self.nu_words):
+            kernel.append(v, val)
+            half = kernel.render(labels)
+            for letter in word:
+                kernel.append(*letter)
+            steps.append({
+                "s": f"{labels[v]}^{val}",
+                "w": [f"{labels[wv]}^{wval}" for wv, wval in word],
+                "half": half,
+                "full": kernel.render(labels),
+            })
+        return {"steps": steps, "pivotal_times": list(self.pivotal_times())}
 
 
 def is_local_geodesic(
@@ -478,7 +519,10 @@ def walk_record(
     values after step k = steps - 1 and k = steps (step 0 reads 0)."""
     rng = Random(seed)
     groups = tuple(groups)
-    randrange, d, sample = rng.randrange, graph.vertex_count, nu.sample
+    getrandbits, d, sample = rng.getrandbits, graph.vertex_count, nu.sample
+    bits = d.bit_length()
+    if steps > 0 and not bits:
+        raise ValueError("graph needs at least one vertex")
     kernel = Kernel(graph, groups)
     step = kernel.step
     stack: list[tuple[int, int]] = []
@@ -488,7 +532,10 @@ def walk_record(
     for k in range(1, steps + 1):
         if k == steps:
             before = (kernel.live, len(stack), gains)
-        v = randrange(d)
+        # rng.randrange(d)
+        v = getrandbits(bits)
+        while v >= d:
+            v = getrandbits(bits)
         group = groups[v]
         value = group.sample_nontrivial(rng)
         w = sample(rng, graph, groups)

@@ -8,7 +8,7 @@ import pytest
 from gpdrift import walk
 from gpdrift.graphs import cycle_graph, edgeless_graph, graph_stats, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup, uniform_groups
-from gpdrift.piling import append, init, is_prefix, piling_of_word, term
+from gpdrift.piling import append, init, is_prefix, piling_of_word, render, term
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
@@ -391,6 +391,7 @@ def test_kernel_cliques_match_the_piling():
         kernel, piling = fold(word, graph, groups), piling_of_word(word, graph, groups)
         assert kernel.term() == term(piling)
         assert kernel.init() == init(piling)
+        assert kernel.render(graph.labels) == render(piling, graph.labels)
 
 
 def test_pivot_replace_identity():
@@ -509,6 +510,21 @@ def test_debug_json_golden():
         ],
         "pivotal_times": [1],
     }
+
+
+def test_debug_json_never_builds_the_quadratic_table():
+    # the dump renders from a kernel replay, so a long cycle never gets
+    # the O(D^2) table that Piling operations cache on the graph
+    graph = cycle_graph(2000)
+    groups = uniform_groups(2000)
+    trace = run_walk(graph, groups, ParetoLetter(1.1), 20, 7)
+    doc = trace.to_debug_json()
+    assert len(doc["steps"]) == 20
+    assert "nonneighbors" not in graph.__dict__
+    half, full = trace.pilings()
+    assert [(step["half"], step["full"]) for step in doc["steps"]] == [
+        (render(h, graph.labels), render(f, graph.labels)) for h, f in zip(half, full)
+    ]
 
 
 def test_debug_json_renders_the_largest_pareto_value():
