@@ -9,11 +9,15 @@ never changes results.
 
 Exit codes: 0 ok, 2 bad input or flags, 3 the small-cliques condition
 fails where a bound is required, 4 a check failed.
+
+:func:`main` may be called repeatedly in one process.  It builds its parser
+on the first call and keeps no other state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -259,7 +263,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and the same object on
+    every later one.  It holds the ``cmd_*`` functions; they look up what
+    they call in this module when they run, so a name patched here takes
+    effect on the next call."""
     parser = argparse.ArgumentParser(
         prog="gpdrift",
         description="Graph products: normal forms, alternating walks, drift bounds.",

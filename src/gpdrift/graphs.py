@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+MAX_VERTICES = 10**7
+"""The most vertices a graph built from a vertex count may have: the
+families and plain-text edge lists.  A larger count raises ``ValueError``
+before anything is allocated, where building it would exhaust memory.
+Graphs near the limit still need several GB."""
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -126,8 +132,8 @@ def parse_graph(text: str) -> Graph:
     * JSON: ``{"vertices": ["a", "b", ...], "edges": [[0, 1], ...]}`` where
       edge entries index into the vertices array.
     * Plain text: one ``i j`` pair per line (``#`` comments and blank lines
-      ignored); the vertex count is inferred as ``max index + 1`` and
-      vertices are labelled ``v0, v1, ...``.
+      ignored); the vertex count is inferred as ``max index + 1``, at most
+      :data:`MAX_VERTICES`, and vertices are labelled ``v0, v1, ...``.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -163,10 +169,13 @@ def parse_graph(text: str) -> Graph:
         edges.append((i, j))
     if top < 0:
         raise ValueError("empty edge list; use the JSON form for edgeless graphs")
-    return make_graph([f"v{i}" for i in range(top + 1)], edges)
+    return make_graph(_labels(top + 1), edges)
 
 
 def _labels(d: int) -> tuple[str, ...]:
+    """``v0 .. v{d-1}``; raises ``ValueError`` past :data:`MAX_VERTICES`."""
+    if d > MAX_VERTICES:
+        raise ValueError(f"a graph of {d} vertices is too large; the limit is {MAX_VERTICES}")
     return tuple([f"v{i}" for i in range(d)])
 
 
@@ -186,8 +195,8 @@ def cycle_graphs(d_values: Iterable[int]) -> Iterator[Graph]:
     if min(d_values) < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     top = max(d_values)
+    labels = _labels(top)  # checks top before anything else is allocated
     ints = tuple(range(top))
-    labels = _labels(top)
     path = tuple(zip(ints, ints[1:]))  # path[i] = (i, i + 1)
     inner = tuple(map(frozenset, zip(ints, ints[2:])))  # the neighbours of i + 1
     for d in d_values:

@@ -1,8 +1,16 @@
+import argparse
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import gpdrift
 from gpdrift.cli import DEFAULT_SEED, main
 
 
@@ -546,3 +554,113 @@ def test_golden_bound_bytes(case, tmp_path, capsys, monkeypatch):
         hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None,
     )
     assert digests == GOLDEN_BOUND_SHA256[case]
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "stats", "--family", "cycle", "--D", "17")[0] == 0
+    built.clear()
+    assert run_cli(capsys, "kappa", "--family", "cycle", "--D", "17")[0] == 0
+    assert built == []
+
+
+SRC_DIR = str(Path(gpdrift.__file__).resolve().parents[1])
+
+
+def _cli_env() -> dict[str, str]:
+    # a fixed help width and one worker, in this process and in children
+    return {**os.environ, "PYTHONPATH": SRC_DIR, "GPDRIFT_WORKERS": "1", "COLUMNS": "80"}
+
+
+def _cap_address_space() -> None:
+    # a build that ignores the vertex limit fails fast instead of filling
+    # the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_alone(cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "gpdrift.cli", *argv],
+        cwd=cwd, env=_cli_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+
+
+def _files(cwd: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+
+# Every subcommand, the default --nu and --groups after explicit ones, a
+# bad flag and --help; the last simulate sets neither --nu nor --groups.
+SMALL_WALK = ["--family", "cycle", "--D", "30", "--n", "20"]
+REUSE_SEQUENCE = [
+    ["kappa", "--family", "cycle", "--D", "17"],
+    ["simulate", *SMALL_WALK, "--trials", "10", "--nu", "pareto:1.1", "--groups", "zmod:2"],
+    ["simulate", *SMALL_WALK, "--trials", "10", "--nu", "fixed:v1^2"],
+    ["check", *SMALL_WALK, "--trials", "60", "--groups", "zmod:3"],
+    ["check", *SMALL_WALK, "--trials", "60", "--groups", "z"],
+    ["sweep", "--D-list", "17,40"],
+    ["sweep"],
+    ["stats", "--family", "cycle", "--D", "17"],
+    ["simulate", "--no-such-flag"],
+    ["--help"],
+    ["sweep", "--help"],
+    ["simulate", *SMALL_WALK, "--trials", "10"],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    expected = []
+    for argv in REUSE_SEQUENCE:
+        done = _run_alone(alone, argv)
+        expected.append((done.returncode, done.stdout, done.stderr, _files(alone)))
+
+    monkeypatch.chdir(together)
+    for key, value in _cli_env().items():
+        monkeypatch.setenv(key, value)
+    seen = []
+    for argv in REUSE_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        seen.append((code, out, err, _files(together)))
+
+    codes = [c for c, *_ in expected]
+    assert codes == [0] * 8 + [2, 0, 0, 0], expected
+    for argv, want, got in zip(REUSE_SEQUENCE, expected, seen):
+        assert got == want, argv
+
+
+OVERSIZED = [
+    ["sweep", "--D-list", "3,99999999999"],
+    ["stats", "--family", "cycle", "--D", "3000000000"],
+    ["stats", "--family", "edgeless", "--D", "300000000"],
+    ["stats", "--graph", "big.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda argv: " ".join(argv))
+def test_graph_past_the_vertex_limit_exits_2(argv, tmp_path, capsys, monkeypatch):
+    (tmp_path / "big.txt").write_text("0 99999999999\n")
+    done = _run_alone(tmp_path, argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "too large" in done.stderr
+    assert "Traceback" not in done.stderr
+    # the limit is checked before anything is built
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, done.stderr)

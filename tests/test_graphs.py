@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 import warnings
 from random import Random
 
@@ -153,6 +154,37 @@ def test_cycle_graphs_empty_and_short():
         cycle_graph(2)
     with pytest.raises(ValueError, match="at least 3 vertices"):
         list(cycle_graphs([5, 2]))
+
+
+def test_vertex_limit_is_checked_before_allocation():
+    over = graphs.MAX_VERTICES + 1
+    builds = [
+        lambda: list(cycle_graphs([3, over])),
+        lambda: cycle_graph(over),
+        lambda: edgeless_graph(over),
+        lambda: complete_graph(over),
+        lambda: parse_graph(f"0 {over - 1}\n"),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builds:
+            with pytest.raises(ValueError, match=f"the limit is {graphs.MAX_VERTICES}"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_vertex_limit_is_inclusive(monkeypatch):
+    # a small stand-in limit, so that no graph near the real one is built
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+    assert cycle_graph(5).vertex_count == 5
+    assert edgeless_graph(5).vertex_count == 5
+    assert parse_graph("0 4\n").vertex_count == 5
+    for build in (lambda: cycle_graph(6), lambda: edgeless_graph(6), lambda: parse_graph("0 5\n")):
+        with pytest.raises(ValueError, match="a graph of 6 vertices is too large; the limit is 5"):
+            build()
 
 
 def test_cycle_family_shares_sets_within_one_call_only():
