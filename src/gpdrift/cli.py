@@ -233,7 +233,7 @@ def cmd_check(args) -> int:
     reports = [
         check_lower_tail(metrics, n, bound.kappa),
         check_pivot_step_probability(metrics, n, stats),
-        check_domination(metrics, n, PivotIncrementDistribution(b, c, d), batch.base_seed),
+        check_domination(metrics, n, PivotIncrementDistribution(b, c, d)),
     ]
     write_text(args.output, checks_csv_text(reports))
     failed = False

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,16 +70,13 @@ class PivotIncrementDistribution:
     def mean(self) -> Fraction:
         return increment_mean(self.b, self.c, self.d)
 
-    def sample(self, rng: Random) -> int:
-        """Exact inverse-CDF draw: +1 with probability p_up, else a
-        geometric depth below zero."""
-        if rng.random() < self.p_up:
-            return 1
-        if self.b == 0:
-            return -1
-        v = 1.0 - rng.random()  # in (0, 1]
-        j = 1 + int(math.log(v) / math.log(self.ratio))
-        return -j
+    def at_least(self, k: int) -> float:
+        """P(U >= k), exact from ``p_up`` and ``tail``: U is never 0 or above 1."""
+        if k > 1:
+            return 0.0
+        if k >= 0:
+            return self.p_up
+        return 1.0 - self.tail(1 - k)
 
 
 @dataclass(frozen=True)

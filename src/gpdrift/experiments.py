@@ -10,7 +10,9 @@ in block order.  Where ``os.fork`` is missing, batches run serially.
 Statistical pass thresholds sit at four binomial standard errors (or a
 one-sided 99% Wilson limit for rare events): these are one-sided sanity
 checks of proved inequalities, so false alarms should be negligible across
-a whole suite.
+a whole suite.  Only the walks are random: the domination check sets the
+empirical law of A_{n+1} against the exact law of A_n + U, summed from
+U's closed-form tail, and draws no increment.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 import os
 import pickle
 import signal
+from collections import Counter
 from dataclasses import dataclass
-from random import Random
 from typing import BinaryIO, Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
@@ -323,35 +325,34 @@ def check_pivot_step_probability(
 
 
 def check_domination(
-    metrics: Sequence[TrialMetrics], n: int, dist: PivotIncrementDistribution, base_seed: int
+    metrics: Sequence[TrialMetrics], n: int, dist: PivotIncrementDistribution
 ) -> CheckReport:
     """Marginal stochastic domination of the pivotal count after step n+1
-    over the count after step n plus an independent increment.
+    over the count after step n plus an independent increment U.
 
-    The walks must have exactly n+1 steps.  The increment draws use the
-    batch's ``base_seed`` with trial indices offset by the trial count, so
-    they never collide with the walk streams.  Compares the two empirical
-    upper CDFs at every observed level with a 4-sigma combined allowance.
+    The walks must have exactly n+1 steps.  At each level i, the empirical
+    P(A_{n+1} >= i) is compared with the exact P(A_n + U >= i) under the
+    empirical law of A_n, sum_a P^(A_n = a) * P(U >= i - a), read from U's
+    closed-form tail, so nothing is drawn.  That side is a mean of T values
+    in [0, 1], so p2(1 - p2)/T bounds its variance as it bounds the
+    binomial side's, and the allowance is 4 sigma of the two combined.
+    The scan covers every level where the margin can be negative: below
+    min A_{n+1} the first side is 1, and above both max A_{n+1} and
+    max A_n + 1 both sides are 0.
     """
     if n < 0:
         raise ValueError("steps must be nonnegative")
     trials = len(metrics)
-    a_next = [m.active_at(n + 1) for m in metrics]
-    plus_u = []
-    for m in metrics:
-        a_now = m.active_at(n) if n >= 1 else 0
-        rng = Random(derive_seed(base_seed, trials + m.trial))
-        plus_u.append(a_now + dist.sample(rng))
-    lo = min(min(a_next), min(plus_u))
-    hi = max(max(a_next), max(plus_u))
+    a_next = Counter(m.active_at(n + 1) for m in metrics)
+    a_now = Counter(m.active_at(n) for m in metrics)
+    lo = min(a_next)
+    hi = max(max(a_next), max(a_now) + 1)
     worst = math.inf
     worst_i = None
-    for i in range(lo, hi + 2):
-        p1 = sum(1 for x in a_next if x >= i) / trials
-        p2 = sum(1 for x in plus_u if x >= i) / trials
-        sigma = math.sqrt(
-            p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
-        )
+    for i in range(lo, hi + 1):
+        p1 = sum(k for x, k in a_next.items() if x >= i) / trials
+        p2 = sum(k * dist.at_least(i - a) for a, k in a_now.items()) / trials
+        sigma = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / trials)
         margin = p1 - p2 + 4 * sigma
         if margin < worst:
             worst = margin
@@ -361,7 +362,7 @@ def check_domination(
         statistic=worst,
         threshold=0.0,
         passed=worst >= 0.0,
-        detail=f"worst level i={worst_i} over [{lo}, {hi + 1}]",
+        detail=f"worst level i={worst_i} over [{lo}, {hi}]",
     )
 
 

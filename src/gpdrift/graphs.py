@@ -139,7 +139,7 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ValueError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
             raise ValueError('graph JSON must be an object with "vertices" and "edges"')

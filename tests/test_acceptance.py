@@ -259,7 +259,7 @@ def test_criterion_6_step_bound_and_domination():
     step = check_pivot_step_probability(metrics, 50, graph_stats(graph))
     assert not step.skipped and step.passed
     assert step.threshold == pytest.approx(44 / 50, abs=0.01)
-    dom = check_domination(metrics, 50, PivotIncrementDistribution(4, 2, 50), batch.base_seed)
+    dom = check_domination(metrics, 50, PivotIncrementDistribution(4, 2, 50))
     assert dom.passed, dom
     report(6, "step probability >= 44/50 - 4 sigma and domination at all levels", time.perf_counter() - t0, budget=300.0)
 

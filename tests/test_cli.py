@@ -262,6 +262,9 @@ def test_check_passes_on_cycle(tmp_path, capsys):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "check,statistic,threshold,pass"
     assert len(lines) == 4
+    name, statistic, threshold, status = lines[3].split(",")
+    assert (name, threshold, status) == ("increment_domination", "0", "true")
+    assert float(statistic) > 0
 
 
 def test_check_lower_tail_passes_between_resolution_and_wilson_limit(tmp_path, capsys):
@@ -443,8 +446,8 @@ GOLDEN_CASES = {
 GOLDEN_SHA256 = {
     "list_check_mixed": (
         0,
-        "89927b5cd0914d2a16431690df37a66a553a9b433e55d698f8abf589c3493bb8",
-        "4f83a9efd3f00c0d109f635b2adc477102148e9c4c4abe599b43aba43ed70e27",
+        "845d02c0e26b726d77a03610b69e71817ae0ed72eddeeaf37704ba583bdcd9eb",
+        "d1ff696feffbb614c4ef4651e7ebfcd4e03a47b44a96da9ab3e94717698822fd",
     ),
     "list_simulate_mixed": (
         0,
@@ -458,8 +461,8 @@ GOLDEN_SHA256 = {
     ),
     "readme_check": (
         0,
-        "c62d3b1391243043779546d94ef8e4a6c50912ca1a121ebbb83d8c94983de49e",
-        "6ebc8ce1616cfa15136683f30c053696263adc2290fa20395a20b42b3ce07237",
+        "f6a42e7d357efedb6350e1ffb61afa22e2f3f1b8fe0ce4ab86a8217230deaf7a",
+        "9add59516931e547747148e55592b9dcc9be2e4223f09a32991bb24e9e783124",
     ),
     "readme_simulate": (
         0,
@@ -663,4 +666,17 @@ def test_graph_past_the_vertex_limit_exits_2(argv, tmp_path, capsys, monkeypatch
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
+    assert (code, err) == (2, done.stderr)
+
+
+def test_deeply_nested_graph_json_exits_2(tmp_path, capsys, monkeypatch):
+    depth = 100_000
+    (tmp_path / "deep.json").write_text('{"vertices": ' + "[" * depth + "]" * depth + ', "edges": []}')
+    argv = ["stats", "--graph", "deep.json"]
+    done = _run_alone(tmp_path, argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: invalid graph JSON")
+    assert "Traceback" not in done.stderr
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (2, done.stderr)

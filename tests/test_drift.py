@@ -137,33 +137,6 @@ def test_mgf_explodes_near_pole():
     assert increment_mgf(t_pole * 0.999999, 4, 2, 17) > 1e3
 
 
-def test_sample_statistics():
-    rng = Random(53)
-    dist = PivotIncrementDistribution(4, 2, 50)
-    n = 200_000
-    total = 0
-    ups = 0
-    sq = 0
-    for _ in range(n):
-        u = dist.sample(rng)
-        total += u
-        sq += u * u
-        ups += u == 1
-    mean = total / n
-    var = sq / n - mean * mean
-    exact = float(dist.mean())
-    assert abs(mean - exact) <= 4 * math.sqrt(var / n)
-    p = dist.p_up
-    assert abs(ups / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
-
-
-def test_sample_degenerate_ratio():
-    rng = Random(54)
-    dist = PivotIncrementDistribution(0, 1, 5)
-    values = {dist.sample(rng) for _ in range(2000)}
-    assert values == {1, -1}
-
-
 def test_kappa_17_respects_jensen_cap():
     bound = drift_lower_bound(4, 2, 17)
     assert 0 < bound.kappa <= 11 / 119

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -592,11 +593,12 @@ def test_check_pivot_step_probability_edgeless_exhaustive_oracle():
 
 
 def test_check_domination_true_distribution_passes():
-    rep = check_domination(
-        run_batch(batch17(steps=11, trials=4000)), 10, PivotIncrementDistribution(4, 2, 17), 7
-    )
+    rep = check_domination(run_batch(batch17(steps=11, trials=4000)), 10, PivotIncrementDistribution(4, 2, 17))
     assert rep.passed
-    assert rep.statistic >= 0.0
+    # the scan leaves out the levels below min A_{n+1} and above
+    # max A_n + 1, where the margin cannot be negative and is often exactly
+    # 0, so a passing batch shows a real margin
+    assert rep.statistic > 0
 
 
 def test_check_domination_detects_inflated_distribution():
@@ -604,10 +606,46 @@ def test_check_domination_detects_inflated_distribution():
     # break domination; fattening the negative tail would only make the
     # dominated side easier to beat
     rep = check_domination(
-        run_batch(batch17(steps=11, trials=20_000)), 10, PivotIncrementDistribution(0, 1, 10**6), 7
+        run_batch(batch17(steps=11, trials=20_000)), 10, PivotIncrementDistribution(0, 1, 10**6)
     )
     assert not rep.passed
     assert rep.statistic < 0
+
+
+def _convolved_upper(counts, trials, dist, i):
+    # P(A_n + U >= i) by brute force: every (a, u) pair, with the support of
+    # U cut at the first depth whose tail falls below 1e-15
+    support = [1]
+    while dist.tail(len(support)) >= 1e-15:
+        support.append(-len(support))
+    return sum(
+        k * dist.pmf(u) for a, k in counts.items() for u in support if a + u >= i
+    ) / trials
+
+
+@pytest.mark.parametrize("bcd", [(4, 2, 17), (0, 1, 5), (0, 3, 17), (1, 1, 50), (2, 3, 400)])
+def test_check_domination_matches_a_brute_force_convolution(bcd):
+    n = 10
+    metrics = run_batch(batch17(steps=n + 1, trials=600))
+    dist = PivotIncrementDistribution(*bcd)
+    trials = len(metrics)
+    a_now = Counter(m.active_at(n) for m in metrics)
+    a_next = [m.active_at(n + 1) for m in metrics]
+    lo, hi = min(a_next), max(max(a_next), max(a_now) + 1)
+    margins = {}
+    for i in range(lo - 3, hi + 4):
+        exact = sum(k * dist.at_least(i - a) for a, k in a_now.items()) / trials
+        p2 = _convolved_upper(a_now, trials, dist, i)
+        assert exact == pytest.approx(p2, abs=1e-12), i
+        p1 = sum(x >= i for x in a_next) / trials
+        sigma = math.sqrt(p1 * (1 - p1) / trials + p2 * (1 - p2) / trials)
+        margins[i] = p1 - p2 + 4 * sigma
+    rep = check_domination(metrics, n, dist)
+    scanned = [margins[i] for i in range(lo, hi + 1)]
+    assert rep.statistic == pytest.approx(min(scanned), abs=1e-12)
+    assert rep.detail.endswith(f"over [{lo}, {hi}]")
+    # no level outside the scan can show a negative margin
+    assert all(m >= 0 for i, m in margins.items() if not lo <= i <= hi)
 
 
 def test_sweep_rows_and_markers():
