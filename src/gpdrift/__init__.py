@@ -6,9 +6,6 @@ from .drift import (
     PivotIncrementDistribution,
     chernoff_tail_bound,
     drift_lower_bound,
-    feasible_t_max,
-    increment_mean,
-    increment_mgf,
 )
 from .experiments import (
     CheckReport,

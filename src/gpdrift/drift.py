@@ -3,9 +3,12 @@
 One walk step changes the number of surviving pivotal times by at least a
 random amount U that depends only on the graph constants (b, c, d): with
 probability (d-b-c)/d a fresh pivotal time appears (+1), and the chance of
-losing j or more is a geometric tail with ratio r = b/(d-b-c).  Chernoff's
-bound applied to sums of independent copies turns a positive mean into an
-exponential lower-tail estimate for the syllable length, with rate
+losing j or more is a geometric tail with ratio r = b/(d-b-c).
+``PivotIncrementDistribution`` holds that law: its tails, its exact mean,
+its exponential moment and the window of t that the optimizer searches.
+Chernoff's bound applied to sums of independent copies turns a positive
+mean into an exponential lower-tail estimate for the syllable length, with
+rate
 
     f(t) = -ln E[exp(-t U)] / (1 + t),
 
@@ -25,24 +28,24 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-9
 
 
-def _require_domain(b: int, c: int, d: int) -> None:
-    if c < 1 or b < 0 or d < 1:
-        raise ValueError("need c >= 1, b >= 0, d >= 1")
-    if d <= 2 * b + c:
-        raise ValueError(f"need d > 2b + c (got b={b}, c={c}, d={d})")
-
-
 @dataclass(frozen=True)
 class PivotIncrementDistribution:
     """The integer step distribution: +1 with probability (d-b-c)/d,
-    and P(U <= -j) = ((b+c)/d) * r**(j-1) with r = b/(d-b-c)."""
+    and P(U <= -j) = ((b+c)/d) * r**(j-1) with r = b/(d-b-c).
+
+    It exists only for c >= 1, b >= 0 and d > 2b + c, where r < 1;
+    construction checks this once and raises ``ValueError`` outside it.
+    """
 
     b: int
     c: int
     d: int
 
     def __post_init__(self):
-        _require_domain(self.b, self.c, self.d)
+        if self.c < 1 or self.b < 0:
+            raise ValueError("need c >= 1 and b >= 0")
+        if self.d <= 2 * self.b + self.c:
+            raise ValueError(f"need d > 2b + c (got b={self.b}, c={self.c}, d={self.d})")
 
     @property
     def p_up(self) -> float:
@@ -67,9 +70,6 @@ class PivotIncrementDistribution:
             return self.tail(j) - nxt
         return 0.0
 
-    def mean(self) -> Fraction:
-        return increment_mean(self.b, self.c, self.d)
-
     def at_least(self, k: int) -> float:
         """P(U >= k), exact from ``p_up`` and ``tail``: U is never 0 or above 1."""
         if k > 1:
@@ -77,6 +77,44 @@ class PivotIncrementDistribution:
         if k >= 0:
             return self.p_up
         return 1.0 - self.tail(1 - k)
+
+    def mean(self) -> Fraction:
+        """Exact mean.
+
+        Positive exactly when d > 3b + 2c; the boundary case is an exact zero,
+        which is why this stays in rational arithmetic.
+        """
+        b, c, d = self.b, self.c, self.d
+        return Fraction(d - b - c, d) - Fraction(b + c, d) * Fraction(d - b - c, d - 2 * b - c)
+
+    def mgf(self, t: float) -> float:
+        """E[exp(-t U)] in closed form, from summing the geometric tail."""
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        b, c, d = self.b, self.c, self.d
+        x = math.exp(t)
+        p = (d - b - c) / d
+        q = (b + c) / d
+        r = b / (d - b - c)
+        if r * x >= 1.0:
+            raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
+        return p / x + q * (1.0 - r) * x / (1.0 - r * x)
+
+    def t_max(self) -> float:
+        """Right end of the search window for the rate function.
+
+        For b > 0 this is the pole of the geometric series, ln((d-b-c)/b).
+        For b = 0 the moment is finite everywhere; the window ends just past
+        the point where it crosses back above one.
+        """
+        b, c, d = self.b, self.c, self.d
+        if b > 0:
+            return math.log((d - b - c) / b)
+        p = (d - c) / d
+        q = c / d
+        # exp(-t) p + q exp(t) = 1 has roots x = e^t at (1 +- sqrt(1-4pq)) / 2q
+        x_hi = (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * p * q))) / (2.0 * q)
+        return math.log(x_hi) + 1.0
 
 
 @dataclass(frozen=True)
@@ -88,54 +126,6 @@ class DriftBound:
     mgf_at_t_star: float
     mean_increment: float
     t_max: float
-
-
-def increment_mean(b: int, c: int, d: int) -> Fraction:
-    """Exact mean of the increment distribution.
-
-    Positive exactly when d > 3b + 2c; the boundary case is an exact zero,
-    which is why this stays in rational arithmetic.
-    """
-    _require_domain(b, c, d)
-    return Fraction(d - b - c, d) - Fraction(b + c, d) * Fraction(d - b - c, d - 2 * b - c)
-
-
-def feasible_t_max(b: int, c: int, d: int) -> float:
-    """Right end of the search window for the rate function.
-
-    For b > 0 this is the pole of the geometric series, ln((d-b-c)/b).
-    For b = 0 the moment is finite everywhere; the window ends just past
-    the point where it crosses back above one.
-    """
-    _require_domain(b, c, d)
-    if b > 0:
-        return math.log((d - b - c) / b)
-    p = (d - c) / d
-    q = c / d
-    # exp(-t) p + q exp(t) = 1 has roots x = e^t at (1 +- sqrt(1-4pq)) / 2q
-    x_hi = (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * p * q))) / (2.0 * q)
-    return math.log(x_hi) + 1.0
-
-
-def increment_mgf(t: float, b: int, c: int, d: int) -> float:
-    """E[exp(-t U)] in closed form, from summing the geometric tail."""
-    _require_domain(b, c, d)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x = math.exp(t)
-    p = (d - b - c) / d
-    q = (b + c) / d
-    r = b / (d - b - c)
-    if r * x >= 1.0:
-        raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
-    return p / x + q * (1.0 - r) * x / (1.0 - r * x)
-
-
-def _rate(t: float, b: int, c: int, d: int) -> float:
-    m = increment_mgf(t, b, c, d)
-    if m >= 1.0:
-        return -math.inf
-    return -math.log(m) / (1.0 + t)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -163,24 +153,30 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     Golden-section search over the whole window finds it, because the rate
     f(t) = h(t) / (1 + t) is unimodal: h(t) = -ln E[exp(-t U)] is concave
     with h(0) = 0, so each set {f >= L} = {h(t) - L (1 + t) >= 0} is an
-    interval.  The -inf that ``_rate`` reports where h <= 0 keeps this, as
-    that set is an interval reaching the window's right end.
+    interval.  The rate reads -inf where h <= 0, which keeps this, as that
+    set is an interval reaching the window's right end.
     """
-    _require_domain(b, c, d)
+    dist = PivotIncrementDistribution(b, c, d)
     if d <= 3 * b + 2 * c:
         raise ValueError(
             f"small-cliques condition d > 3b + 2c fails (b={b}, c={c}, d={d})"
         )
-    t_max = feasible_t_max(b, c, d)
+    mgf = dist.mgf
+
+    def rate(t: float) -> float:
+        m = mgf(t)
+        return -math.inf if m >= 1.0 else -math.log(m) / (1.0 + t)
+
+    t_max = dist.t_max()
     eps = 1e-12 * t_max
-    t_star = _golden_max(lambda t: _rate(t, b, c, d), eps, t_max - eps, _REFINE_TOL)
-    mgf_star = increment_mgf(t_star, b, c, d)
+    t_star = _golden_max(rate, eps, t_max - eps, _REFINE_TOL)
+    mgf_star = mgf(t_star)
     assert mgf_star < 1.0, "no feasible t despite positive mean"
     return DriftBound(
         kappa=-math.log(mgf_star) / (1.0 + t_star),
         t_star=t_star,
         mgf_at_t_star=mgf_star,
-        mean_increment=float(increment_mean(b, c, d)),
+        mean_increment=float(dist.mean()),
         t_max=t_max,
     )
 

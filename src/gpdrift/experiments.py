@@ -10,9 +10,10 @@ in block order.  Where ``os.fork`` is missing, batches run serially.
 Statistical pass thresholds sit at four binomial standard errors (or a
 one-sided 99% Wilson limit for rare events): these are one-sided sanity
 checks of proved inequalities, so false alarms should be negligible across
-a whole suite.  Only the walks are random: the domination check sets the
-empirical law of A_{n+1} against the exact law of A_n + U, summed from
-U's closed-form tail, and draws no increment.
+a whole suite.  Only the walks are random: the step-probability and
+domination checks read U's law from one ``PivotIncrementDistribution``.
+The domination check sets the empirical law of A_{n+1} against the exact
+law of A_n + U, summed from U's closed-form tail, and draws no increment.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
-from .drift import PivotIncrementDistribution, drift_lower_bound, increment_mean
-from .graphs import Graph, GraphStats, cycle_graphs, graph_stats
+from .drift import PivotIncrementDistribution, drift_lower_bound
+from .graphs import Graph, cycle_graphs, graph_stats
 from .groups import VertexGroup
 from .walk import run_walk, walk_record  # run_walk: bench/tracer.py wraps this name
 
@@ -109,7 +110,6 @@ class CheckReport:
     statistic: float
     threshold: float
     passed: bool
-    skipped: bool = False
     detail: str = ""
 
 
@@ -253,14 +253,14 @@ def estimate_drift(metrics: Sequence[TrialMetrics], n: int) -> DriftEstimate:
     return DriftEstimate(mean, math.sqrt(var / len(ratios)))
 
 
-def wilson_upper(successes: int, n: int, z: float = _Z99) -> float:
-    """One-sided upper Wilson score limit for a binomial proportion."""
+def wilson_upper(successes: int, n: int) -> float:
+    """One-sided upper 99% Wilson score limit for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
     phat = successes / n
-    z2 = z * z
+    z2 = _Z99 * _Z99
     centre = phat + z2 / (2 * n)
-    radius = z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
+    radius = _Z99 * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
     return min(1.0, (centre + radius) / (1 + z2 / n))
 
 
@@ -293,25 +293,16 @@ def check_lower_tail(metrics: Sequence[TrialMetrics], n: int, kappa_value: float
 
 
 def check_pivot_step_probability(
-    metrics: Sequence[TrialMetrics], n: int, stats: GraphStats
+    metrics: Sequence[TrialMetrics], n: int, dist: PivotIncrementDistribution
 ) -> CheckReport:
     """Pooled frequency over steps 1..n of a step creating a new surviving
-    pivotal time, which must be at least (d-b-c)/d up to binomial noise."""
-    d, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
-    if d - b - c <= 0:
-        return CheckReport(
-            name="pivot_step_probability",
-            statistic=math.nan,
-            threshold=math.nan,
-            passed=True,
-            skipped=True,
-            detail=f"vacuous bound: d - b - c = {d - b - c} <= 0",
-        )
+    pivotal time, which must be at least ``dist.p_up`` = (d-b-c)/d up to
+    binomial noise."""
     if n < 1:
         raise ValueError("need at least one step")
     events = sum(m.gains_through(n) for m in metrics)
     total = n * len(metrics)
-    p0 = (d - b - c) / d
+    p0 = dist.p_up
     sigma = math.sqrt(p0 * (1 - p0) / total)
     phat = events / total
     threshold = p0 - 4 * sigma
@@ -376,7 +367,9 @@ def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
     for g in cycle_graphs(d_values):
         stats = graph_stats(g)
         dd, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
-        mean_inc = float(increment_mean(b, c, dd)) if dd > 2 * b + c else None
+        mean_inc = None
+        if dd > 2 * b + c:
+            mean_inc = float(PivotIncrementDistribution(b, c, dd).mean())
         if stats.small_cliques:
             bound = drift_lower_bound(b, c, dd)
             rows.append(
@@ -408,8 +401,6 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.12g}"
 
 
@@ -423,8 +414,7 @@ def trials_csv_text(metrics: Sequence[TrialMetrics]) -> str:
 def checks_csv_text(reports: Sequence[CheckReport]) -> str:
     lines = ["check,statistic,threshold,pass"]
     for r in reports:
-        status = "skipped" if r.skipped else _fmt(r.passed)
-        lines.append(f"{r.name},{_fmt(r.statistic)},{_fmt(r.threshold)},{status}")
+        lines.append(f"{r.name},{_fmt(r.statistic)},{_fmt(r.threshold)},{_fmt(r.passed)}")
     return "\n".join(lines) + "\n"
 
 

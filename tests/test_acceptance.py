@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gpdrift.cli import main as cli_main
-from gpdrift.drift import PivotIncrementDistribution, drift_lower_bound, increment_mean, increment_mgf, feasible_t_max
+from gpdrift.drift import PivotIncrementDistribution, drift_lower_bound
 from gpdrift.experiments import (
     TrialBatch,
     check_domination,
@@ -256,10 +256,11 @@ def test_criterion_6_step_bound_and_domination():
     groups = uniform_groups(50)
     batch = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=51, trials=10_000, base_seed=606)
     metrics = run_batch(batch)
-    step = check_pivot_step_probability(metrics, 50, graph_stats(graph))
-    assert not step.skipped and step.passed
+    dist = PivotIncrementDistribution(4, 2, 50)
+    step = check_pivot_step_probability(metrics, 50, dist)
+    assert step.passed
     assert step.threshold == pytest.approx(44 / 50, abs=0.01)
-    dom = check_domination(metrics, 50, PivotIncrementDistribution(4, 2, 50))
+    dom = check_domination(metrics, 50, dist)
     assert dom.passed, dom
     report(6, "step probability >= 44/50 - 4 sigma and domination at all levels", time.perf_counter() - t0, budget=300.0)
 
@@ -272,8 +273,9 @@ def test_criterion_7_rate_function_numerics():
         b = rng.randrange(0, 7)
         c = rng.randrange(1, 7)
         d = rng.randrange(2 * b + c + 1, 2 * b + c + 80)
-        t = rng.uniform(0.05, 0.95) * feasible_t_max(b, c, d)
-        closed = increment_mgf(t, b, c, d)
+        dist = PivotIncrementDistribution(b, c, d)
+        t = rng.uniform(0.05, 0.95) * dist.t_max()
+        closed = dist.mgf(t)
         assert abs(closed - mgf_series(t, b, c, d)) <= 1e-10 * max(1.0, closed)
     # the displayed power form at exp(t) = d**alpha
     for b, c, d, alpha in [(4, 2, 100, 0.3), (4, 2, 2000, 0.2), (3, 1, 150, 0.35)]:
@@ -282,13 +284,13 @@ def test_criterion_7_rate_function_numerics():
             d ** (-alpha) * (d - b - c) / d
             + (b + c) * d ** (alpha - 1) * (d - 2 * b - c) / (d - b - c - d**alpha * b)
         )
-        assert abs(increment_mgf(t, b, c, d) - displayed) < 1e-12
+        assert abs(PivotIncrementDistribution(b, c, d).mgf(t) - displayed) < 1e-12
     # exact boundary zero and the sign scan
-    assert increment_mean(4, 2, 16) == Fraction(0)
+    assert PivotIncrementDistribution(4, 2, 16).mean() == Fraction(0)
     for b in range(0, 7):
         for c in range(1, 7):
             for d in range(2 * b + c + 1, 61):
-                assert (increment_mean(b, c, d) > 0) == (d > 3 * b + 2 * c)
+                assert (PivotIncrementDistribution(b, c, d).mean() > 0) == (d > 3 * b + 2 * c)
     report(7, "mgf numerics, exact boundary, mean-sign scan", time.perf_counter() - t0)
 
 

@@ -370,6 +370,39 @@ def test_simulate_and_check_run_one_batch(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == {"run_batch": [9], "graph_stats": 1}
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_unwritable_output_fails_before_any_walk(command, tmp_path, capsys, monkeypatch):
+    import gpdrift.cli as cli
+
+    def run_batch(batch):
+        raise AssertionError("a batch ran before --output was opened")
+
+    monkeypatch.setattr(cli, "run_batch", run_batch)
+    code, out, err = run_cli(
+        capsys, command, "--family", "cycle", "--D", "50", "--n", "2000", "--trials", "100",
+        "--output", str(tmp_path / "missing" / "o.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_failed_batch_leaves_an_empty_output(command, tmp_path, capsys, monkeypatch):
+    import gpdrift.cli as cli
+
+    def run_batch(batch):
+        raise ValueError("batch failed")
+
+    monkeypatch.setattr(cli, "run_batch", run_batch)
+    out_path = tmp_path / "o.csv"
+    code, out, err = run_cli(
+        capsys, command, "--family", "cycle", "--D", "17", "--n", "5", "--trials", "3",
+        "--output", str(out_path),
+    )
+    assert (code, out, err) == (2, "", "error: batch failed\n")
+    assert out_path.read_bytes() == b""
+
+
 def test_simulate_pareto_draws_past_the_float_range(tmp_path, capsys):
     # seeds 1 to 3 draw magnitudes above 2**1024 at alpha = 0.01
     for seed in ("1", "2", "3"):

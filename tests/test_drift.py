@@ -9,9 +9,6 @@ from gpdrift.drift import (
     PivotIncrementDistribution,
     chernoff_tail_bound,
     drift_lower_bound,
-    feasible_t_max,
-    increment_mean,
-    increment_mgf,
 )
 
 from oracles import mean_series, mgf_series
@@ -31,29 +28,29 @@ def random_domain_triples(rng, count):
 
 
 def test_mean_exact_values():
-    assert increment_mean(4, 2, 17) == Fraction(11, 119)
-    assert increment_mean(4, 2, 16) == 0
-    assert increment_mean(4, 2, 100) > 0
+    assert PivotIncrementDistribution(4, 2, 17).mean() == Fraction(11, 119)
+    assert PivotIncrementDistribution(4, 2, 16).mean() == 0
+    assert PivotIncrementDistribution(4, 2, 100).mean() > 0
 
 
 def test_mean_domain_error():
     with pytest.raises(ValueError):
-        increment_mean(4, 2, 10)
+        PivotIncrementDistribution(4, 2, 10).mean()
     with pytest.raises(ValueError):
-        increment_mean(4, 0, 30)
+        PivotIncrementDistribution(4, 0, 30).mean()
 
 
 def test_mean_matches_series():
     rng = Random(50)
     for b, c, d in random_domain_triples(rng, 20):
-        assert abs(float(increment_mean(b, c, d)) - mean_series(b, c, d)) < 1e-12
+        assert abs(float(PivotIncrementDistribution(b, c, d).mean()) - mean_series(b, c, d)) < 1e-12
 
 
 def test_mean_sign_characterizes_small_cliques():
     for b in range(0, 7):
         for c in range(1, 7):
             for d in range(2 * b + c + 1, 61):
-                positive = increment_mean(b, c, d) > 0
+                positive = PivotIncrementDistribution(b, c, d).mean() > 0
                 assert positive == (d > 3 * b + 2 * c)
 
 
@@ -85,14 +82,18 @@ def test_distribution_tail_and_pmf_when_b_is_zero():
 
 
 def test_distribution_requires_domain():
-    with pytest.raises(ValueError):
-        PivotIncrementDistribution(4, 2, 10)
+    # (4, 4, 4) is complete_graph(4), where d - b - c < 0; (1, 1, 3) is
+    # edgeless_graph(3), where d - b - c > 0 but d = 2b + c
+    for b, c, d in [(4, 2, 10), (4, 0, 30), (-1, 1, 5), (4, 4, 4), (1, 1, 3)]:
+        with pytest.raises(ValueError):
+            PivotIncrementDistribution(b, c, d)
 
 
 def test_mgf_at_zero_limit():
+    dist = PivotIncrementDistribution(4, 2, 17)
     for t in (1e-3, 1e-6, 1e-9):
-        assert abs(increment_mgf(t, 4, 2, 17) - 1.0) < 1e-2
-    assert increment_mgf(0.0, 4, 2, 17) == pytest.approx(1.0)
+        assert abs(dist.mgf(t) - 1.0) < 1e-2
+    assert dist.mgf(0.0) == pytest.approx(1.0)
 
 
 def test_mgf_matches_series():
@@ -100,9 +101,9 @@ def test_mgf_matches_series():
     checked = 0
     while checked < 25:
         b, c, d = random_domain_triples(rng, 1)[0]
-        t_max = feasible_t_max(b, c, d)
-        t = rng.uniform(0.05, 0.95) * t_max
-        closed = increment_mgf(t, b, c, d)
+        dist = PivotIncrementDistribution(b, c, d)
+        t = rng.uniform(0.05, 0.95) * dist.t_max()
+        closed = dist.mgf(t)
         series = mgf_series(t, b, c, d)
         assert abs(closed - series) <= 1e-10 * max(1.0, abs(closed))
         checked += 1
@@ -119,22 +120,23 @@ def test_mgf_matches_power_form():
             d ** (-alpha) * (d - b - c) / d
             + (b + c) * d ** (alpha - 1) * (d - 2 * b - c) / (d - b - c - da * b)
         )
-        assert abs(increment_mgf(t, b, c, d) - displayed) < 1e-12
+        assert abs(PivotIncrementDistribution(b, c, d).mgf(t) - displayed) < 1e-12
 
 
 def test_mgf_domain_errors():
+    dist = PivotIncrementDistribution(4, 2, 17)
     with pytest.raises(ValueError):
-        increment_mgf(-0.1, 4, 2, 17)
-    t_pole = feasible_t_max(4, 2, 17)
+        dist.mgf(-0.1)
+    t_pole = dist.t_max()
     with pytest.raises(ValueError):
-        increment_mgf(t_pole, 4, 2, 17)
+        dist.mgf(t_pole)
     with pytest.raises(ValueError):
-        increment_mgf(t_pole + 1.0, 4, 2, 17)
+        dist.mgf(t_pole + 1.0)
 
 
 def test_mgf_explodes_near_pole():
-    t_pole = feasible_t_max(4, 2, 17)
-    assert increment_mgf(t_pole * 0.999999, 4, 2, 17) > 1e3
+    dist = PivotIncrementDistribution(4, 2, 17)
+    assert dist.mgf(dist.t_max() * 0.999999) > 1e3
 
 
 def test_kappa_17_respects_jensen_cap():
@@ -169,11 +171,12 @@ def test_kappa_works_without_negative_tail():
 def test_rate_below_jensen_curve():
     rng = Random(55)
     for b, c, d in [(4, 2, 30), (4, 2, 200), (1, 2, 40)]:
-        mean = float(increment_mean(b, c, d))
-        t_max = feasible_t_max(b, c, d)
+        dist = PivotIncrementDistribution(b, c, d)
+        mean = float(dist.mean())
+        t_max = dist.t_max()
         for _ in range(50):
             t = rng.uniform(1e-6, 0.999) * t_max
-            m = increment_mgf(t, b, c, d)
+            m = dist.mgf(t)
             if m >= 1:
                 continue
             rate = -math.log(m) / (1 + t)
@@ -232,11 +235,12 @@ def test_bound_dataclass_fields():
 
 def _dense_grid_kappa(b, c, d, points=2000, zooms=4):
     """Maximum of the rate by grid scans, each zooming in on the best cell."""
-    t_max = feasible_t_max(b, c, d)
+    dist = PivotIncrementDistribution(b, c, d)
+    t_max = dist.t_max()
     lo, hi = 1e-12 * t_max, t_max * (1 - 1e-12)
 
     def rate(t):
-        m = increment_mgf(t, b, c, d)
+        m = dist.mgf(t)
         return -math.log(m) / (1 + t) if m < 1 else -math.inf
 
     best = -math.inf
@@ -253,11 +257,11 @@ def _dense_grid_kappa(b, c, d, points=2000, zooms=4):
      (3, 1, 150), (6, 6, 31), (4, 2, 12000), (20, 5, 12000)],
 )
 def test_kappa_is_golden_section_alone_and_matches_dense_grid(monkeypatch, b, c, d):
-    import gpdrift.drift as drift
-
     calls = []
-    rate = drift._rate
-    monkeypatch.setattr(drift, "_rate", lambda *args: calls.append(args) or rate(*args))
+    mgf = PivotIncrementDistribution.mgf
+    monkeypatch.setattr(
+        PivotIncrementDistribution, "mgf", lambda self, t: calls.append(t) or mgf(self, t)
+    )
     bound = drift_lower_bound(b, c, d)
     assert len(calls) < 100
     assert bound.kappa == pytest.approx(_dense_grid_kappa(b, c, d), rel=1e-12)

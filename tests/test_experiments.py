@@ -33,13 +33,13 @@ from gpdrift.experiments import (
     wilson_upper,
 )
 import gpdrift.experiments as experiments
-from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats
+from gpdrift.graphs import cycle_graph, edgeless_graph, graph_stats
 from gpdrift.groups import IntegerGroup, groups_from_spec, uniform_groups
 from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk, walk_record
 
 C17 = cycle_graph(17)
 Z17 = uniform_groups(17)
-STATS17 = graph_stats(C17)
+DIST17 = PivotIncrementDistribution(4, 2, 17)  # U's law for the constants of C17
 
 
 def batch17(steps=20, trials=500, seed=7, nu=None):
@@ -553,41 +553,39 @@ def test_check_lower_tail_fails_on_a_tail_event_above_the_bound():
 
 
 def test_check_pivot_step_probability_cycle():
-    rep = check_pivot_step_probability(run_batch(batch17(steps=20, trials=1500)), 20, STATS17)
-    assert rep.passed and not rep.skipped
+    stats = graph_stats(C17)
+    assert (stats.max_neighbourhood, stats.max_clique, stats.vertex_count) == (4, 2, 17)
+    rep = check_pivot_step_probability(run_batch(batch17(steps=20, trials=1500)), 20, DIST17)
+    assert rep.passed
     assert rep.threshold == pytest.approx(11 / 17, abs=0.05)
 
 
-def test_check_pivot_step_probability_skips_vacuous():
-    graph = complete_graph(4)
-    groups = uniform_groups(4)
-    b = TrialBatch(graph, groups, FixedWord(((0, 1),)), steps=5, trials=10, base_seed=1)
-    rep = check_pivot_step_probability(run_batch(b), b.steps, graph_stats(graph))
-    assert rep.skipped and rep.passed
-
-
 def test_check_pivot_step_probability_edgeless_exhaustive_oracle():
-    # d=3 free product with order-2 factors: every (s1, s2) outcome is
-    # equally likely, so the step probability is exact by enumeration
+    # d=4 free product with order-2 factors: every (s1, s2) outcome is
+    # equally likely, so the step probability is exact by enumeration.
+    # The edgeless graph on 3 vertices has d = 2b + c, outside U's domain.
     from gpdrift.groups import CyclicGroup
 
-    graph = edgeless_graph(3)
-    groups = uniform_groups(3, CyclicGroup(2))
+    graph = edgeless_graph(4)
+    groups = uniform_groups(4, CyclicGroup(2))
     nu_word = ((0, 1),)
     adds = 0
     total = 0
-    for s1 in range(3):
-        for s2 in range(3):
+    for s1 in range(4):
+        for s2 in range(4):
             steps = [((s1, 1), nu_word), ((s2, 1), nu_word)]
             trace = WalkTrace.run(graph, groups, steps)
             a1, a2 = trace.active_counts
             total += 2
             adds += (a1 >= 1) + (a2 >= a1 + 1)
     exact = adds / total
-    # stats of the edgeless graph give b=1, c=1: bound (d-b-c)/d = 1/3
-    assert exact >= 1 / 3
+    # stats of the edgeless graph give b=1, c=1: bound (d-b-c)/d = 1/2
+    stats = graph_stats(graph)
+    dist = PivotIncrementDistribution(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
+    assert dist.p_up == 1 / 2
+    assert exact >= dist.p_up
     b = TrialBatch(graph, groups, FixedWord(nu_word), steps=2, trials=4000, base_seed=11)
-    rep = check_pivot_step_probability(run_batch(b), b.steps, graph_stats(graph))
+    rep = check_pivot_step_probability(run_batch(b), b.steps, dist)
     assert rep.passed
     assert abs(exact - rep.statistic) < 0.05
 
@@ -685,7 +683,7 @@ def test_trials_csv_format():
 
 def test_checks_csv_format():
     reports = [
-        check_pivot_step_probability(run_batch(batch17(steps=5, trials=200)), 5, STATS17),
+        check_pivot_step_probability(run_batch(batch17(steps=5, trials=200)), 5, DIST17),
     ]
     text = checks_csv_text(reports)
     lines = text.strip().split("\n")
