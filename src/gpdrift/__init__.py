@@ -27,7 +27,7 @@ from .graphs import (
     GraphStats,
     complete_graph,
     cycle_graph,
-    cycle_graphs,
+    cycle_stats,
     edgeless_graph,
     graph_stats,
     make_graph,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound
-from .graphs import Graph, cycle_graphs, graph_stats
+from .graphs import Graph, cycle_stats, graph_stats  # graph_stats: bench/tracer.py wraps this name
 from .groups import VertexGroup
 from .walk import run_walk, walk_record  # run_walk: bench/tracer.py wraps this name
 
@@ -360,23 +360,26 @@ def check_domination(
 def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
     """One bound per cycle length; non-qualifying lengths get nan markers.
 
-    Clique statistics are recomputed from the actual cycle rather than
-    assumed, so small lengths (triangle, square) report their true values.
+    The constants come from ``cycle_stats``, so no cycle is built and a row
+    costs the same whatever its length; ``test_cycle_stats_match_graph_stats``
+    pins that closed form to the clique search.
     """
+    if d_values:  # every length, before the first row: the shortest, then the longest
+        cycle_stats(min(d_values) if min(d_values) < 3 else max(d_values))
     rows = []
-    for g in cycle_graphs(d_values):
-        stats = graph_stats(g)
-        dd, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
+    for d in d_values:
+        stats = cycle_stats(d)
+        b, c = stats.max_neighbourhood, stats.max_clique
         mean_inc = None
-        if dd > 2 * b + c:
-            mean_inc = float(PivotIncrementDistribution(b, c, dd).mean())
+        if d > 2 * b + c:
+            mean_inc = float(PivotIncrementDistribution(b, c, d).mean())
         if stats.small_cliques:
-            bound = drift_lower_bound(b, c, dd)
+            bound = drift_lower_bound(b, c, d)
             rows.append(
-                SweepRow(dd, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star)
+                SweepRow(d, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star)
             )
         else:
-            rows.append(SweepRow(dd, b, c, None, None, mean_inc, None))
+            rows.append(SweepRow(d, b, c, None, None, mean_inc, None))
     return rows
 
 
@@ -388,7 +391,10 @@ def log_spaced_ints(lo: int, hi: int, points: int) -> list[int]:
         return [lo]
     out = []
     for i in range(points):
-        x = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (points - 1))
+        try:
+            x = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (points - 1))
+        except OverflowError:  # past the float range
+            raise ValueError(f"{hi} is too large to space on a log scale") from None
         out.append(round(x))
     out[0], out[-1] = lo, hi
     return sorted(set(out))

@@ -47,8 +47,7 @@ class Graph:
         Built in one pass over ``edges``, appending both ends to per-vertex
         lists that are frozen at the end; normalized edges hold no
         duplicates, so the lists need no set semantics while they grow.
-        The cycle constructors (:func:`cycle_graphs`, :func:`cycle_graph`)
-        supply these sets themselves and skip the pass.
+        :func:`cycle_graph` supplies these sets itself and skips the pass.
         """
         adj: list[list[int]] = [[] for _ in self.labels]
         for i, j in self.edges:
@@ -172,51 +171,45 @@ def parse_graph(text: str) -> Graph:
     return make_graph(_labels(top + 1), edges)
 
 
-def _labels(d: int) -> tuple[str, ...]:
-    """``v0 .. v{d-1}``; raises ``ValueError`` past :data:`MAX_VERTICES`."""
+def _check_vertex_count(d: int) -> None:
     if d > MAX_VERTICES:
         raise ValueError(f"a graph of {d} vertices is too large; the limit is {MAX_VERTICES}")
+
+
+def _labels(d: int) -> tuple[str, ...]:
+    """``v0 .. v{d-1}``; raises ``ValueError`` past :data:`MAX_VERTICES`."""
+    _check_vertex_count(d)
     return tuple([f"v{i}" for i in range(d)])
 
 
-def cycle_graphs(d_values: Iterable[int]) -> Iterator[Graph]:
-    """The cycle of each length in ``d_values``, in order, repeats included.
-
-    All of them are cut from one path built for the longest: its labels,
-    its edges ``(i, i + 1)`` and the neighbour sets ``{i, i + 2}`` of its
-    inner vertices are made once, from one tuple of int objects, and each
-    cycle holds references to them.  A cycle of length d adds only its
-    closing edge ``(0, d - 1)`` and the neighbour sets of its two ends.
-    Nothing is kept between calls.
-    """
-    d_values = tuple(d_values)
-    if not d_values:
-        return
-    if min(d_values) < 3:
+def cycle_stats(d: int) -> GraphStats:
+    """``graph_stats(cycle_graph(d))`` in closed form, building nothing:
+    ``(B, C) = (3, 3)`` for the triangle, one clique of every vertex, and
+    ``(4, 2)`` for longer cycles, whose maximal cliques are the edges
+    ``{u, v}``, with ``N(u)`` and ``N(v)`` two disjoint pairs.  A length
+    below 3 or past :data:`MAX_VERTICES` raises ``ValueError``."""
+    if d < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    top = max(d_values)
-    labels = _labels(top)  # checks top before anything else is allocated
-    ints = tuple(range(top))
-    path = tuple(zip(ints, ints[1:]))  # path[i] = (i, i + 1)
-    inner = tuple(map(frozenset, zip(ints, ints[2:])))  # the neighbours of i + 1
-    for d in d_values:
-        last = ints[d - 1]
-        # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
-        g = Graph(labels[:d], (path[0], (0, last), *path[1 : d - 1]))
-        # what the ``neighbors`` cached property would compute, in its
-        # insertion order, under the name it caches to
-        g.__dict__["neighbors"] = (
-            frozenset((1, last)),
-            *inner[: d - 2],
-            frozenset((0, ints[d - 2])),
-        )
-        yield g
+    _check_vertex_count(d)
+    b, c = (3, 3) if d == 3 else (4, 2)
+    return GraphStats(d, c, b, d > 3 * b + 2 * c)
 
 
 def cycle_graph(d: int) -> Graph:
-    """The cycle on ``d >= 3`` vertices ``v0 .. v{d-1}``, with ``vi``
-    adjacent to ``v(i+1 mod d)``; built by :func:`cycle_graphs`."""
-    return next(cycle_graphs((d,)))
+    """The cycle on ``d >= 3`` vertices ``v0 .. v{d-1}``, ``vi`` adjacent to
+    ``v(i+1 mod d)``, with its neighbour sets filled in, so no edge pass runs."""
+    cycle_stats(d)  # checks d before anything is allocated
+    ints = tuple(range(d))
+    path = zip(ints, ints[1:])  # (i, i + 1)
+    # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
+    g = Graph(_labels(d), (next(path), (0, ints[-1]), *path))
+    # what the ``neighbors`` cached property would build, in its order
+    g.__dict__["neighbors"] = (
+        frozenset((1, ints[-1])),
+        *map(frozenset, zip(ints, ints[2:])),  # the neighbours of i + 1
+        frozenset((0, ints[-2])),
+    )
+    return g
 
 
 def edgeless_graph(d: int) -> Graph:

@@ -684,6 +684,7 @@ OVERSIZED = [
     ["stats", "--family", "cycle", "--D", "3000000000"],
     ["stats", "--family", "edgeless", "--D", "300000000"],
     ["stats", "--graph", "big.txt"],
+    ["sweep", "--to", str(10**309)],  # past the float range of the log spacing
 ]
 
 

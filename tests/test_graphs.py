@@ -8,10 +8,11 @@ import pytest
 
 import gpdrift.graphs as graphs
 from gpdrift.cli import main
+from gpdrift.experiments import sweep_cycles
 from gpdrift.graphs import (
     complete_graph,
     cycle_graph,
-    cycle_graphs,
+    cycle_stats,
     edgeless_graph,
     graph_stats,
     make_graph,
@@ -139,27 +140,32 @@ def test_family_constructors_match_make_graph():
 
 
 def test_cycle_graphs_match_make_graph():
-    # unsorted, with repeats, and the longest first: every cycle is cut
-    # from the path built for 12000 vertices
+    # unsorted, with repeats, and up to 12000 vertices
     d_values = [12000, 3, 17, 4, 17, 5, *range(3, 201)]
-    family = list(cycle_graphs(d_values))
-    assert len(family) == len(d_values)
-    for d, g in zip(d_values, family):
+    for d in d_values:
+        g = cycle_graph(d)
+        assert "neighbors" in g.__dict__  # filled in, so no edge pass runs
         _assert_same_graph(g, _make_cycle(d))
 
 
 def test_cycle_graphs_empty_and_short():
-    assert list(cycle_graphs([])) == []
-    with pytest.raises(ValueError, match="at least 3 vertices"):
-        cycle_graph(2)
-    with pytest.raises(ValueError, match="at least 3 vertices"):
-        list(cycle_graphs([5, 2]))
+    assert sweep_cycles([]) == []
+    for build in (lambda: cycle_graph(2), lambda: cycle_stats(2), lambda: sweep_cycles([5, 2])):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            build()
+
+
+def test_cycle_stats_match_graph_stats():
+    # the clique search vouches for the closed form the sweep reads
+    for d in [*range(3, 1001), 12000]:
+        assert cycle_stats(d) == graph_stats(cycle_graph(d)), d
 
 
 def test_vertex_limit_is_checked_before_allocation():
     over = graphs.MAX_VERTICES + 1
     builds = [
-        lambda: list(cycle_graphs([3, over])),
+        lambda: sweep_cycles([3, over]),
+        lambda: cycle_stats(over),
         lambda: cycle_graph(over),
         lambda: edgeless_graph(over),
         lambda: complete_graph(over),
@@ -187,30 +193,22 @@ def test_vertex_limit_is_inclusive(monkeypatch):
             build()
 
 
-def test_cycle_family_shares_sets_within_one_call_only():
-    a, b = cycle_graphs([10, 20])
-    assert a.neighbors[3] is b.neighbors[3]  # {2, 4}, built once
-    assert cycle_graph(10).neighbors[3] is not cycle_graph(10).neighbors[3]
-
-
-def test_sweep_never_builds_neighbor_sets_from_edges(tmp_path, monkeypatch, capsys):
-    # the cycles come with their neighbour sets, so the cached property's
-    # edge pass never runs over the default sweep
-    prop = graphs.Graph.__dict__["neighbors"]
+def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
+    # the sweep reads the closed form, so its cost does not grow with D
     calls = []
-    real = prop.func
+    real = graphs.Graph.__init__
 
-    def counting(g):
-        calls.append(g.vertex_count)
-        return real(g)
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(prop, "func", counting)
-    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
-                 "--output", str(tmp_path / "sweep.csv")]) == 0
-    capsys.readouterr()
-    assert calls == []
-    assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
-    assert calls == [2]  # the counter sees graphs built from edges
+    monkeypatch.setattr(graphs.Graph, "__init__", counting)
+    for argv in ([], ["--D-list", "1000000"]):
+        assert main(["sweep", *argv, "--output", str(tmp_path / "sweep.csv")]) == 0
+        capsys.readouterr()
+        assert calls == [], argv
+    assert cycle_graph(5).vertex_count == 5
+    assert len(calls) == 1  # the counter sees a graph being built
 
 
 def test_neighbors_match_adjacency_scan():
@@ -222,21 +220,6 @@ def test_neighbors_match_adjacency_scan():
             frozenset(j for j in range(g.vertex_count) if (min(i, j), max(i, j)) in edges)
             for i in range(g.vertex_count)
         )
-
-
-def test_sweep_builds_no_graph_through_make_graph(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = graphs.make_graph
-
-    def counting(labels, edges):
-        calls.append(1)
-        return real(labels, edges)
-
-    monkeypatch.setattr(graphs, "make_graph", counting)
-    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
-                 "--output", str(tmp_path / "sweep.csv")]) == 0
-    capsys.readouterr()
-    assert calls == []
 
 
 def test_maximal_cliques_are_maximal_cliques():
