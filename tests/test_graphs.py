@@ -193,6 +193,26 @@ def test_vertex_limit_is_inclusive(monkeypatch):
             build()
 
 
+def test_sweep_never_builds_neighbor_sets_from_edges(tmp_path, monkeypatch, capsys):
+    # the cycles come with their neighbour sets, so the cached property's
+    # edge pass never runs over the default sweep
+    prop = graphs.Graph.__dict__["neighbors"]
+    calls = []
+    real = prop.func
+
+    def counting(g):
+        calls.append(g.vertex_count)
+        return real(g)
+
+    monkeypatch.setattr(prop, "func", counting)
+    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
+                 "--output", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
+    assert calls == [2]  # the counter sees graphs built from edges
+
+
 def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
     # the sweep reads the closed form, so its cost does not grow with D
     calls = []
@@ -220,6 +240,21 @@ def test_neighbors_match_adjacency_scan():
             frozenset(j for j in range(g.vertex_count) if (min(i, j), max(i, j)) in edges)
             for i in range(g.vertex_count)
         )
+
+
+def test_sweep_builds_no_graph_through_make_graph(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = graphs.make_graph
+
+    def counting(labels, edges):
+        calls.append(1)
+        return real(labels, edges)
+
+    monkeypatch.setattr(graphs, "make_graph", counting)
+    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
+                 "--output", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_maximal_cliques_are_maximal_cliques():
