@@ -7,8 +7,8 @@ the flags: the default seed is the fixed constant DEFAULT_SEED, floats
 print with 12 significant digits, and the worker count (GPDRIFT_WORKERS)
 never changes results.
 
-Exit codes: 0 ok, 2 bad input or flags, 3 the small-cliques condition
-fails where a bound is required, 4 a check failed.
+Exit codes: 0 ok, 2 bad input or flags or out of memory, 3 the
+small-cliques condition fails where a bound is required, 4 a check failed.
 
 :func:`main` may be called repeatedly in one process.  It builds its parser
 on the first call and keeps no other state between calls.
@@ -35,12 +35,13 @@ from .experiments import (
     sweep_csv_text,
     sweep_cycles,
     trials_csv_text,
-    write_text,
+    write_text,  # bench/tracer.py wraps this name
 )
 from .graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    cycle_stats,
     edgeless_graph,
     graph_stats,
     parse_graph,
@@ -202,8 +203,8 @@ def cmd_kappa(args) -> int:
 
 
 def _open_output(path: str):
-    """Open ``--output`` before any walk runs, so an unwritable path fails
-    fast.  A batch that fails afterwards leaves the file empty."""
+    """Open ``--output`` before any row is computed, so an unwritable path
+    fails fast.  A run that fails afterwards leaves the file empty."""
     return open(path, "w", encoding="utf-8", newline="")
 
 
@@ -264,8 +265,10 @@ def cmd_sweep(args) -> int:
         d_values = log_spaced_ints(args.start, args.stop, args.points)
     if not d_values or min(d_values) < 3:
         raise ValueError("cycle lengths must be at least 3")
-    rows = sweep_cycles(d_values)
-    write_text(args.output, sweep_csv_text(rows))
+    cycle_stats(max(d_values))  # a length past the vertex limit fails here
+    with _open_output(args.output) as fh:
+        rows = sweep_cycles(d_values)
+        fh.write(sweep_csv_text(rows))
     print(json.dumps({"rows": len(rows), "output": args.output}))
     return 0
 
@@ -321,6 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # report outside the handler, once its traceback has freed the frames
+    print("error: out of memory: the graph or batch is too large for this machine", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -25,35 +25,28 @@ Graphs near the limit still need several GB."""
 class Graph:
     """Simple undirected graph with labelled vertices.
 
-    ``edges`` is normalized: each pair stored once as ``(i, j)`` with
-    ``i < j``, sorted, with no self-loops and every index in range.  The
-    family constructors (:func:`cycle_graph`, :func:`complete_graph`,
-    :func:`edgeless_graph`) produce normalized edges by construction;
-    :func:`make_graph` and :func:`parse_graph` validate and normalize
-    outside input.  Build instances through one of them.
+    ``neighbors[i]`` holds the vertices adjacent to ``i``: the sets are
+    symmetric, hold no self-loops and index only ``0 .. D-1``.  They are
+    the graph's one representation; ``edges`` and ``nonneighbors`` derive
+    from them.  :func:`make_graph` and :func:`parse_graph` validate outside
+    input, and the family constructors (:func:`cycle_graph`,
+    :func:`complete_graph`, :func:`edgeless_graph`) build valid sets
+    directly.  Build instances through one of them.
     """
 
     labels: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    neighbors: tuple[frozenset[int], ...]
 
     @property
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        """Per vertex: its adjacent vertices.
-
-        Built in one pass over ``edges``, appending both ends to per-vertex
-        lists that are frozen at the end; normalized edges hold no
-        duplicates, so the lists need no set semantics while they grow.
-        :func:`cycle_graph` supplies these sets itself and skips the pass.
-        """
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(map(frozenset, adj))
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as ``(i, j)`` with ``i < j``, sorted."""
+        return tuple(
+            (i, j) for i, nbrs in enumerate(self.neighbors) for j in sorted(nbrs) if i < j
+        )
 
     @cached_property
     def nonneighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -62,9 +55,9 @@ class Graph:
         Lazy because it is quadratic in the vertex count; only ``Piling``
         operations need it.  The walk kernel, strong choices and pivot
         replacement, word parsing and clique statistics read ``neighbors``
-        instead.  Every row
-        draws its indices from one tuple, so the rows share int objects
-        instead of each holding its own copies of those above 256.
+        instead.  Every row draws its indices from one tuple, so the rows
+        share int objects instead of each holding its own copies of those
+        above 256.
         """
         indices = tuple(range(self.vertex_count))
         return tuple(
@@ -76,7 +69,8 @@ class Graph:
         return j in self.neighbors[i]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"Graph({self.vertex_count} vertices, {len(self.edges)} edges)"
+        edge_count = sum(map(len, self.neighbors)) // 2
+        return f"Graph({self.vertex_count} vertices, {edge_count} edges)"
 
 
 @dataclass(frozen=True)
@@ -86,11 +80,15 @@ class GraphStats:
     vertex_count: int
     max_clique: int
     max_neighbourhood: int
-    small_cliques: bool
+
+    @property
+    def small_cliques(self) -> bool:
+        """The small-cliques condition ``D > 3B + 2C``."""
+        return self.vertex_count > 3 * self.max_neighbourhood + 2 * self.max_clique
 
 
 def make_graph(labels: Iterable[str], edges: Iterable) -> Graph:
-    """Validate and normalize a vertex/edge description.
+    """Validate a vertex/edge description and build its neighbour sets.
 
     Duplicate edges are dropped with a warning; repeated labels, self-loops
     and out-of-range indices raise ``ValueError``.
@@ -101,8 +99,7 @@ def make_graph(labels: Iterable[str], edges: Iterable) -> Graph:
     d = len(labels)
     if len(set(labels)) != d:
         raise ValueError("vertex labels must be distinct")
-    seen: set[tuple[int, int]] = set()
-    normalized = []
+    adj: list[set[int]] = [set() for _ in labels]
     for e in edges:
         try:
             i, j = e
@@ -114,13 +111,12 @@ def make_graph(labels: Iterable[str], edges: Iterable) -> Graph:
             raise ValueError(f"edge {(i, j)} references a vertex outside 0..{d - 1}")
         if i == j:
             raise ValueError(f"self-loop at vertex {i} is not allowed")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            warnings.warn(f"duplicate edge {key} ignored", stacklevel=2)
+        if j in adj[i]:
+            warnings.warn(f"duplicate edge {(min(i, j), max(i, j))} ignored", stacklevel=2)
             continue
-        seen.add(key)
-        normalized.append(key)
-    return Graph(labels, tuple(sorted(normalized)))
+        adj[i].add(j)
+        adj[j].add(i)
+    return Graph(labels, tuple(map(frozenset, adj)))
 
 
 def parse_graph(text: str) -> Graph:
@@ -177,7 +173,9 @@ def _check_vertex_count(d: int) -> None:
 
 
 def _labels(d: int) -> tuple[str, ...]:
-    """``v0 .. v{d-1}``; raises ``ValueError`` past :data:`MAX_VERTICES`."""
+    """``v0 .. v{d-1}``; raises ``ValueError`` if ``d < 1`` or past :data:`MAX_VERTICES`."""
+    if d < 1:
+        raise ValueError("graph needs at least one vertex")
     _check_vertex_count(d)
     return tuple([f"v{i}" for i in range(d)])
 
@@ -192,36 +190,29 @@ def cycle_stats(d: int) -> GraphStats:
         raise ValueError("a cycle needs at least 3 vertices")
     _check_vertex_count(d)
     b, c = (3, 3) if d == 3 else (4, 2)
-    return GraphStats(d, c, b, d > 3 * b + 2 * c)
+    return GraphStats(d, c, b)
 
 
 def cycle_graph(d: int) -> Graph:
     """The cycle on ``d >= 3`` vertices ``v0 .. v{d-1}``, ``vi`` adjacent to
-    ``v(i+1 mod d)``, with its neighbour sets filled in, so no edge pass runs."""
+    ``v(i+1 mod d)``.  Its neighbour sets are cut from one tuple of ints."""
     cycle_stats(d)  # checks d before anything is allocated
     ints = tuple(range(d))
-    path = zip(ints, ints[1:])  # (i, i + 1)
-    # sorted normalized edges: (0, 1), (0, d-1), (1, 2), ..., (d-2, d-1)
-    g = Graph(_labels(d), (next(path), (0, ints[-1]), *path))
-    # what the ``neighbors`` cached property would build, in its order
-    g.__dict__["neighbors"] = (
+    return Graph(_labels(d), (
         frozenset((1, ints[-1])),
         *map(frozenset, zip(ints, ints[2:])),  # the neighbours of i + 1
         frozenset((0, ints[-2])),
-    )
-    return g
+    ))
 
 
 def edgeless_graph(d: int) -> Graph:
-    if d < 1:
-        raise ValueError("graph needs at least one vertex")
-    return Graph(_labels(d), ())
+    return Graph(_labels(d), (frozenset(),) * d)
 
 
 def complete_graph(d: int) -> Graph:
-    if d < 1:
-        raise ValueError("graph needs at least one vertex")
-    return Graph(_labels(d), tuple([(i, j) for i in range(d) for j in range(i + 1, d)]))
+    labels = _labels(d)  # checks d before the sets are built
+    everyone = frozenset(range(d))
+    return Graph(labels, tuple([everyone - {i} for i in range(d)]))
 
 
 def _cliques(neighbors, vertices: Iterable[int]) -> Iterator[frozenset[int]]:
@@ -286,17 +277,18 @@ def graph_stats(g: Graph) -> GraphStats:
     neighbors = g.neighbors
     c = b = 1
     t: set[int] = set()
-    for u, v in g.edges:
-        nu, nv = neighbors[u], neighbors[v]
-        if nu.isdisjoint(nv):
-            c = 2
-            if len(nu) + len(nv) > b:
-                b = len(nu) + len(nv)
-        else:
-            t.add(u)
-            t.add(v)
+    for u, nu in enumerate(neighbors):
+        for v in nu:
+            if u < v:  # each edge once
+                nv = neighbors[v]
+                if nu.isdisjoint(nv):
+                    c = 2
+                    if len(nu) + len(nv) > b:
+                        b = len(nu) + len(nv)
+                else:
+                    t.add(u)
+                    t.add(v)
     for clique in _cliques(neighbors, t) if t else ():
         c = max(c, len(clique))
         b = max(b, len(clique.union(*(neighbors[v] for v in clique))))
-    d = g.vertex_count
-    return GraphStats(d, c, b, d > 3 * b + 2 * c)
+    return GraphStats(g.vertex_count, c, b)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -326,9 +327,10 @@ def test_sweep_bad_list(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("d_list", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize("d_list", ["", ",", "2,17"], ids=["empty", "comma", "short"])
 def test_sweep_empty_list(tmp_path, capsys, d_list):
-    # an explicit empty list is refused, not read as "no list given"
+    # an explicit empty list is refused, not read as "no list given"; no
+    # file is opened for a refused list
     out_path = tmp_path / "sweep.csv"
     code, out, err = run_cli(capsys, "sweep", "--D-list", d_list, "--output", str(out_path))
     assert code == 2 and out == ""
@@ -370,17 +372,19 @@ def test_simulate_and_check_run_one_batch(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == {"run_batch": [9], "graph_stats": 1}
 
 
-@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
 def test_unwritable_output_fails_before_any_walk(command, tmp_path, capsys, monkeypatch):
     import gpdrift.cli as cli
 
-    def run_batch(batch):
-        raise AssertionError("a batch ran before --output was opened")
+    def refuse(*args):
+        raise AssertionError("rows were computed before --output was opened")
 
-    monkeypatch.setattr(cli, "run_batch", run_batch)
+    monkeypatch.setattr(cli, "run_batch", refuse)
+    monkeypatch.setattr(cli, "sweep_cycles", refuse)
+    flags = [] if command == "sweep" else [
+        "--family", "cycle", "--D", "50", "--n", "2000", "--trials", "100"]
     code, out, err = run_cli(
-        capsys, command, "--family", "cycle", "--D", "50", "--n", "2000", "--trials", "100",
-        "--output", str(tmp_path / "missing" / "o.csv"),
+        capsys, command, *flags, "--output", str(tmp_path / "missing" / "o.csv"),
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
@@ -615,17 +619,17 @@ def _cli_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": SRC_DIR, "GPDRIFT_WORKERS": "1", "COLUMNS": "80"}
 
 
-def _cap_address_space() -> None:
+def _cap_address_space(limit: int) -> None:
     # a build that ignores the vertex limit fails fast instead of filling
     # the machine's memory
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _run_alone(cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+def _run_alone(cwd: Path, argv: list[str], address_space: int = 1 << 30) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "gpdrift.cli", *argv],
         cwd=cwd, env=_cli_env(), capture_output=True, text=True, timeout=60,
-        preexec_fn=_cap_address_space,
+        preexec_fn=functools.partial(_cap_address_space, address_space),
     )
 
 
@@ -701,6 +705,7 @@ def test_graph_past_the_vertex_limit_exits_2(argv, tmp_path, capsys, monkeypatch
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, err) == (2, done.stderr)
+    assert not (tmp_path / "sweep.csv").exists()  # refused before --output opens
 
 
 def test_deeply_nested_graph_json_exits_2(tmp_path, capsys, monkeypatch):
@@ -714,3 +719,18 @@ def test_deeply_nested_graph_json_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (2, done.stderr)
+
+
+def test_graph_too_large_for_memory_exits_2(tmp_path):
+    # under the vertex limit, but K_20000's neighbour sets need about 10 GB
+    done = _run_alone(tmp_path, ["stats", "--family", "complete", "--D", "20000"], 700 << 20)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: out of memory")
+    assert "Traceback" not in done.stderr
+
+
+def test_complete_3000_fits_in_700_mb(tmp_path):
+    # K_3000 holds its neighbour sets and no edge tuple beside them
+    done = _run_alone(tmp_path, ["stats", "--family", "complete", "--D", "3000"], 700 << 20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"D": 3000, "C": 3000, "B": 3000, "small_cliques": false}\n'

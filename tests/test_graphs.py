@@ -127,8 +127,8 @@ def _make_cycle(d):
 
 
 def test_family_constructors_match_make_graph():
-    # the family constructors skip make_graph's validation, so their edges
-    # must come out exactly as make_graph would normalize them
+    # the family constructors skip make_graph's validation, so their
+    # neighbour sets must come out exactly as make_graph would build them
     for d in range(3, 201):
         _assert_same_graph(cycle_graph(d), _make_cycle(d))
     for d in range(1, 31):
@@ -143,9 +143,7 @@ def test_cycle_graphs_match_make_graph():
     # unsorted, with repeats, and up to 12000 vertices
     d_values = [12000, 3, 17, 4, 17, 5, *range(3, 201)]
     for d in d_values:
-        g = cycle_graph(d)
-        assert "neighbors" in g.__dict__  # filled in, so no edge pass runs
-        _assert_same_graph(g, _make_cycle(d))
+        _assert_same_graph(cycle_graph(d), _make_cycle(d))
 
 
 def test_cycle_graphs_empty_and_short():
@@ -193,26 +191,6 @@ def test_vertex_limit_is_inclusive(monkeypatch):
             build()
 
 
-def test_sweep_never_builds_neighbor_sets_from_edges(tmp_path, monkeypatch, capsys):
-    # the cycles come with their neighbour sets, so the cached property's
-    # edge pass never runs over the default sweep
-    prop = graphs.Graph.__dict__["neighbors"]
-    calls = []
-    real = prop.func
-
-    def counting(g):
-        calls.append(g.vertex_count)
-        return real(g)
-
-    monkeypatch.setattr(prop, "func", counting)
-    assert main(["sweep", "--from", "17", "--to", "12000", "--points", "50",
-                 "--output", str(tmp_path / "sweep.csv")]) == 0
-    capsys.readouterr()
-    assert calls == []
-    assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
-    assert calls == [2]  # the counter sees graphs built from edges
-
-
 def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
     # the sweep reads the closed form, so its cost does not grow with D
     calls = []
@@ -232,14 +210,20 @@ def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
 
 
 def test_neighbors_match_adjacency_scan():
+    assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
     rng = Random(31)
     for _ in range(50):
-        g = random_graph(rng.randrange(1, 25), rng.random(), rng)
-        edges = set(g.edges)
+        d, p = rng.randrange(1, 25), rng.random()
+        pairs = [(j, i) if rng.random() < 0.5 else (i, j)
+                 for i in range(d) for j in range(i + 1, d) if rng.random() < p]
+        rng.shuffle(pairs)
+        g = make_graph([f"v{i}" for i in range(d)], pairs)
+        edges = {(min(e), max(e)) for e in pairs}
         assert g.neighbors == tuple(
-            frozenset(j for j in range(g.vertex_count) if (min(i, j), max(i, j)) in edges)
-            for i in range(g.vertex_count)
+            frozenset(j for j in range(d) if (min(i, j), max(i, j)) in edges)
+            for i in range(d)
         )
+        assert g.edges == tuple(sorted(edges))  # derived: sorted, each once as i < j
 
 
 def test_sweep_builds_no_graph_through_make_graph(tmp_path, monkeypatch, capsys):
@@ -362,7 +346,8 @@ def _count_clique_searches(monkeypatch):
 
 def test_triangle_free_graphs_skip_the_clique_search(monkeypatch):
     searched = _count_clique_searches(monkeypatch)
-    assert graph_stats(cycle_graph(12000)) == graphs.GraphStats(12000, 2, 4, True)
+    stats = graph_stats(cycle_graph(12000))
+    assert stats == graphs.GraphStats(12000, 2, 4) and stats.small_cliques
     rng = Random(5)
     d, edges = 300, []
     nbrs = [set() for _ in range(300)]
@@ -377,6 +362,25 @@ def test_triangle_free_graphs_skip_the_clique_search(monkeypatch):
     assert s.max_clique == 2
     assert s.max_neighbourhood == max(len(nbrs[i]) + len(nbrs[j]) for i, j in edges)
     assert searched == []
+
+
+def test_graph_stats_never_reads_edges(monkeypatch):
+    # the statistics walk the neighbour sets; the derived edge tuple is
+    # built only for readers outside the library
+    built = [
+        cycle_graph(40),
+        complete_graph(7),
+        parse_graph("0 1\n1 2\n2 0\n2 3\n3 4\n"),
+        parse_graph(json.dumps({"vertices": list("abcde"), "edges": [[0, 1], [1, 2], [0, 2], [3, 4]]})),
+    ]
+    expected = [graph_stats(g) for g in built]
+
+    def refuse(g):
+        raise AssertionError("graph_stats read Graph.edges")
+
+    monkeypatch.setattr(graphs.Graph, "edges", property(refuse))
+    assert [graph_stats(g) for g in built] == expected
+    assert [(s.max_clique, s.max_neighbourhood) for s in expected] == [(2, 4), (7, 7), (3, 5), (3, 3)]
 
 
 def test_one_triangle_searches_only_its_vertices(monkeypatch):
