@@ -5,7 +5,8 @@ seed by a splitmix64 step, so results are identical for any worker count
 and any execution order.  With W workers a batch splits into W contiguous
 blocks of trials: the calling process runs the first block itself while
 W - 1 forked children run the others and pipe back one pickle each, read
-in block order.  Where ``os.fork`` is missing, batches run serially.
+in block order.  Where ``os.fork`` is missing, W is 1: the calling process
+runs the one block and nothing forks.
 
 Statistical pass thresholds sit at four binomial standard errors (or a
 one-sided 99% Wilson limit for rare events): these are one-sided sanity
@@ -124,15 +125,12 @@ class SweepRow:
     mgf: float | None
 
 
-def _trial_metrics(batch: TrialBatch, trial: int) -> TrialMetrics:
-    record = walk_record(
-        batch.graph, batch.groups, batch.nu, batch.steps, derive_seed(batch.base_seed, trial)
-    )
-    return TrialMetrics(trial, batch.steps, *record)
-
-
 def _run_block(batch: TrialBatch, lo: int, hi: int) -> list[TrialMetrics]:
-    return [_trial_metrics(batch, t) for t in range(lo, hi)]
+    walk = (batch.graph, batch.groups, batch.nu, batch.steps)
+    return [
+        TrialMetrics(t, batch.steps, *walk_record(*walk, derive_seed(batch.base_seed, t)))
+        for t in range(lo, hi)
+    ]
 
 
 def _fork_block(
@@ -235,10 +233,7 @@ def run_batch(batch: TrialBatch) -> list[TrialMetrics]:
         raise ValueError("need at least one trial")
     if batch.steps < 0:
         raise ValueError("steps must be nonnegative")
-    workers = min(worker_count(), batch.trials)
-    if workers == 1 or not hasattr(os, "fork"):
-        return _run_block(batch, 0, batch.trials)
-    return _fan_out(batch, workers)
+    return _fan_out(batch, min(worker_count(), batch.trials) if hasattr(os, "fork") else 1)
 
 
 def estimate_drift(metrics: Sequence[TrialMetrics], n: int) -> DriftEstimate:

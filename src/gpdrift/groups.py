@@ -96,22 +96,28 @@ def uniform_groups(count: int, group: VertexGroup | None = None) -> tuple[Vertex
     return tuple([group if group is not None else IntegerGroup()] * count)
 
 
+def _parse_group(entry: str) -> VertexGroup:
+    if entry == "z":
+        return IntegerGroup()
+    if entry.startswith("zmod:"):
+        try:
+            return CyclicGroup(int(entry[5:]))
+        except ValueError as exc:
+            raise ValueError(f"bad modulus in group spec {entry!r}") from exc
+    raise ValueError(f"unknown group spec {entry!r} (expected 'z' or 'zmod:<m>')")
+
+
 def groups_from_spec(spec: str, count: int) -> tuple[VertexGroup, ...]:
-    """Parse ``"z"``, ``"zmod:5"``, or a comma list with one entry per vertex."""
+    """Parse ``"z"``, ``"zmod:5"``, or a comma list with one entry per
+    vertex.  Each distinct entry is parsed once, in list order, and the
+    vertices it names share that one group object."""
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) == 1:
-        parts = parts * count
+        return uniform_groups(count, _parse_group(parts[0]))
     if len(parts) != count:
         raise ValueError(f"group spec lists {len(parts)} entries for {count} vertices")
-    out: list[VertexGroup] = []
+    parsed: dict[str, VertexGroup] = {}
     for p in parts:
-        if p == "z":
-            out.append(IntegerGroup())
-        elif p.startswith("zmod:"):
-            try:
-                out.append(CyclicGroup(int(p[5:])))
-            except ValueError as exc:
-                raise ValueError(f"bad modulus in group spec {p!r}") from exc
-        else:
-            raise ValueError(f"unknown group spec {p!r} (expected 'z' or 'zmod:<m>')")
-    return tuple(out)
+        if p not in parsed:
+            parsed[p] = _parse_group(p)
+    return tuple(parsed[p] for p in parts)

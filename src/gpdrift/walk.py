@@ -10,8 +10,8 @@ time that falls off the stack never returns, because the prefix
 requirement quantifies over all intermediate pilings.  No piling is kept;
 the definition scan replays them from the letters and words, and the
 debug dump renders each step from a kernel replay.  A batch keeps less:
-:func:`walk_record` samples the same walk but keeps only a fixed-size
-record of it.
+:func:`walk_record` runs the same sampling loop but keeps only a
+fixed-size record of the walk.
 
 Both walks fold their letters into a :class:`Kernel`, a mutable piling
 whose trailing zero runs are computed from counts, so a letter costs
@@ -226,13 +226,16 @@ class Kernel:
         self.live += 1
         return self.clock
 
+    def _trailing_zeros(self, v: int) -> int:
+        """The trailing zero run of string v; ``append``, which is hot, inlines it."""
+        cnt = self.cnt
+        return self.live - cnt[v] - self.zsum[v] - sum(cnt[u] for u in self.neighbors[v])
+
     def term(self) -> frozenset[int]:
         """Vertices whose string ends in a nontrivial element (a clique):
         non-empty, with a trailing zero run of 0."""
-        cnt, zsum, live = self.cnt, self.zsum, self.live
         return frozenset(
-            v for v, string in self.strings.items()
-            if string and live - len(string) - zsum[v] == sum(cnt[u] for u in self.neighbors[v])
+            v for v, string in self.strings.items() if string and not self._trailing_zeros(v)
         )
 
     def init(self) -> frozenset[int]:
@@ -243,14 +246,13 @@ class Kernel:
         """What ``piling.render`` prints for this piling: per string, each
         entry's zero run and ``label^value``, then the trailing run, or
         ``ε`` for an empty string."""
-        cnt, zsum, live, neighbors = self.cnt, self.zsum, self.live, self.neighbors
         out = []
         for v, label in enumerate(labels):
             parts = []
             for value, zeros, _ in self.strings.get(v, ()):
                 parts += ["0"] * zeros
                 parts.append(f"{label}^{value}")
-            parts += ["0"] * (live - cnt[v] - zsum[v] - sum(cnt[u] for u in neighbors[v]))
+            parts += ["0"] * self._trailing_zeros(v)
             out.append(" ".join(parts) or "ε")
         return ", ".join(out)
 
@@ -378,11 +380,15 @@ class WalkTrace:
         if not w:
             raise ValueError("nu sampler produced an empty word")
         _require_nontrivial((s, *w), self.groups)
-        self.s_letters.append(s)
+        self._step(self.stack, self.n + 1, *s, w)
+
+    def _step(self, stack: list[tuple[int, int]], k: int, v: int, value, w: tuple) -> None:
+        """``Kernel.step`` on a checked step, keeping its letters and counts."""
+        self.s_letters.append((v, value))
         self.nu_words.append(w)
-        self.kernel.step(self.stack, self.n, *s, w)
+        self.kernel.step(stack, k, v, value, w)
         self.syllable_counts.append(self.kernel.live)
-        self.active_counts.append(len(self.stack))
+        self.active_counts.append(len(stack))
 
     def pivotal_times(self) -> tuple[int, ...]:
         """Times pivotal with respect to the walk length (strictly before it)."""
@@ -489,43 +495,17 @@ def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:
     return rebuilt
 
 
-def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int) -> WalkTrace:
-    """Sample and fold a walk; deterministic in the seed.
-
-    ``nu`` is any object with ``.sample(rng, graph, groups) -> Word``.  Per
-    step the generator is consumed in a fixed order: the uniform letter
-    first, then the nu word.
-    """
+def _sample(graph: Graph, nu, steps: int, seed: int, kernel: Kernel, stack: list, step) -> tuple:
+    """Both walks' loop: draw steps 1..steps in a fixed order (the vertex
+    as ``randrange(D)``, its value, the nu word), check each (a word tuple
+    returned again is not checked again) and fold it by ``step``.  Returns
+    ``(live, depth, gains)`` before the last step, and ``gains`` after it."""
     rng = Random(seed)
-    trace = WalkTrace(graph, groups)
-    for _ in range(steps):
-        s = sample_mu(graph, trace.groups, rng)
-        trace.extend(s, nu.sample(rng, graph, trace.groups))
-    return trace
-
-
-def walk_record(
-    graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int
-) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The walk :func:`run_walk` samples, reduced as it runs to what a
-    batch keeps of it: the same draws in the same order and the same
-    errors, but no letters, words or per-step counts are kept.  A word
-    tuple the sampler returns again is not checked again.
-
-    Returns ``(pivotal_count, syllable_pair, active_pair, gain_pair)``:
-    the candidates strictly before the horizon still on the stack, then
-    the syllable length, the surviving candidates among times 1..k and the
-    steps among 1..k whose time survived its step, each as a pair of the
-    values after step k = steps - 1 and k = steps (step 0 reads 0)."""
-    rng = Random(seed)
-    groups = tuple(groups)
+    groups = kernel.groups
     getrandbits, d, sample = rng.getrandbits, graph.vertex_count, nu.sample
     bits = d.bit_length()
     if steps > 0 and not bits:
         raise ValueError("graph needs at least one vertex")
-    kernel = Kernel(graph, groups)
-    step = kernel.step
-    stack: list[tuple[int, int]] = []
     checked = None
     gains = 0
     before = (0, 0, 0)
@@ -550,6 +530,32 @@ def walk_record(
         step(stack, k, v, value, w)
         if stack and stack[-1][0] == k:
             gains += 1
+    return before, gains
+
+
+def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int) -> WalkTrace:
+    """Sample and fold a walk through :func:`_sample`; deterministic in the
+    seed.  ``nu`` is any object with ``.sample(rng, graph, groups) -> Word``."""
+    trace = WalkTrace(graph, groups)
+    _sample(graph, nu, steps, seed, trace.kernel, trace.stack, trace._step)
+    return trace
+
+
+def walk_record(
+    graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int
+) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The walk :func:`run_walk` samples, through the same loop, reduced
+    as it runs to what a batch keeps of it: no letters, words or per-step
+    counts are kept.
+
+    Returns ``(pivotal_count, syllable_pair, active_pair, gain_pair)``:
+    the candidates strictly before the horizon still on the stack, then
+    the syllable length, the surviving candidates among times 1..k and the
+    steps among 1..k whose time survived its step, each as a pair of the
+    values after step k = steps - 1 and k = steps (step 0 reads 0)."""
+    kernel = Kernel(graph, tuple(groups))
+    stack: list[tuple[int, int]] = []
+    before, gains = _sample(graph, nu, steps, seed, kernel, stack, kernel.step)
     last = 1 if stack and stack[-1][0] == steps else 0
     return (
         len(stack) - last,

@@ -7,11 +7,11 @@ under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
 
 from gpdrift.graphs import Graph, make_graph
-from gpdrift.groups import groups_from_spec
+from gpdrift.groups import VertexGroup, groups_from_spec
 
 
 # --- naive piling: the inductive letter-append rule on materialized tuples ---
@@ -283,6 +283,29 @@ def random_word(graph: Graph, groups, length: int, rng: Random):
 
 def invert_word(word, groups):
     return [(v, groups[v].invert(val)) for v, val in reversed(word)]
+
+
+class SymmetricGroup3(VertexGroup):
+    """The permutations of three points, as tuples, composed right to left.
+    Every built-in group is abelian; this one is not, so a product taken
+    in the wrong order shows in the strings."""
+
+    elements = tuple(permutations(range(3)))  # the identity first
+
+    def multiply(self, x, y):
+        return tuple(x[y[i]] for i in range(3))
+
+    def invert(self, x):
+        return tuple(x.index(i) for i in range(3))
+
+    def is_identity(self, x) -> bool:
+        return x == (0, 1, 2)
+
+    def sample_nontrivial(self, rng: Random):
+        return rng.choice(self.elements[1:])
+
+
+S3 = SymmetricGroup3()
 
 
 MIXED6 = groups_from_spec("z,zmod:2,zmod:3,z,zmod:2,zmod:3", 6)

@@ -36,7 +36,7 @@ def test_stdlib_draws_below_n_with_getrandbits():
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
         "random.Random no longer draws randrange/choice through "
         "_randbelow_with_getrandbits; the inlined getrandbits loops in "
-        "walk.sample_mu, walk.walk_record (the letter vertex), "
+        "walk.sample_mu, walk._sample (the letter vertex of both walks), "
         "WordChoice.sample, ParetoLetter.sample (the vertex), "
         "IntegerGroup.sample_nontrivial and CyclicGroup.sample_nontrivial "
         "must be rewritten to match it"

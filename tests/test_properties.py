@@ -6,6 +6,8 @@ Settings are fixed and derandomized so every run draws the same examples,
 and no example database is written.
 """
 
+from random import Random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from gpdrift.groups import CyclicGroup, IntegerGroup
 from gpdrift.piling import append, init, is_prefix, piling_of_word
 from gpdrift.walk import FixedWord, WalkTrace, WordChoice, pivotal_times_bruteforce, run_walk
 
-from oracles import MIXED6, destroy_and_rebuild, naive_walk
+from oracles import MIXED6, S3, destroy_and_rebuild, naive_walk, random_graph, random_word
 
 PROPERTY_SETTINGS = dict(
     derandomize=True,
@@ -166,3 +168,26 @@ def test_rebuilt_entries_keep_the_anchor_stamp(labels, edges, steps):
     trace = assert_three_way(graph, groups, [((v, x), w) for v, x, w in steps])
     assert 2 not in trace.pivotal_times()
 
+
+def test_nonabelian_walks_match_the_definition_scan():
+    # S3 at every vertex, so a merge in the wrong order changes the
+    # strings; half the words take the walk's last letters off and put
+    # them back, u⁻¹·u·x
+    rng = Random(43)
+    for _ in range(60):
+        d = rng.randrange(2, 6)
+        graph = random_graph(d, rng.random(), rng)
+        groups = (S3,) * d
+        history, steps = [], []
+        for _ in range(rng.randrange(1, 16)):
+            (s,) = random_word(graph, groups, 1, rng)
+            if rng.random() < 0.5:
+                w = random_word(graph, groups, rng.randrange(1, 5), rng)
+            else:
+                u = (history + [s])[-rng.randrange(1, 4):]
+                w = inverse(u, groups) + u + random_word(graph, groups, 1, rng)
+            if piling_of_word(w, graph, groups).syllables == 0:
+                continue
+            steps.append((s, tuple(w)))
+            history += [s] + w
+        assert_three_way(graph, groups, steps)

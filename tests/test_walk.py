@@ -24,7 +24,7 @@ from gpdrift.walk import (
     walk_record,
 )
 
-from oracles import MIXED6, destroy_and_rebuild, random_graph, random_word
+from oracles import MIXED6, S3, destroy_and_rebuild, random_graph, random_word
 
 G3 = make_graph(["a", "b", "c"], [(0, 1)])
 Z3 = uniform_groups(3)
@@ -391,6 +391,19 @@ def test_kernel_cliques_match_the_piling():
         kernel, piling = fold(word, graph, groups), piling_of_word(word, graph, groups)
         assert kernel.term() == term(piling)
         assert kernel.init() == init(piling)
+        assert kernel.render(graph.labels) == render(piling, graph.labels)
+
+
+def test_kernel_merges_in_order_in_a_nonabelian_group():
+    # with S3 at every vertex, a letter merged as value·top instead of
+    # top·value leaves a different string
+    rng = Random(41)
+    for _ in range(2_000):
+        d = rng.randrange(2, 6)
+        graph = random_graph(d, rng.random(), rng)
+        groups = (S3,) * d
+        word = random_word(graph, groups, rng.randrange(1, 12), rng)
+        kernel, piling = fold(word, graph, groups), piling_of_word(word, graph, groups)
         assert kernel.render(graph.labels) == render(piling, graph.labels)
 
 
