@@ -4,6 +4,7 @@ and effective drift lower bounds."""
 from .drift import (
     DriftBound,
     PivotIncrementDistribution,
+    SmallCliquesError,
     chernoff_tail_bound,
     drift_lower_bound,
 )

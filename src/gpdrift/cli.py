@@ -9,6 +9,8 @@ never changes results.
 
 Exit codes: 0 ok, 2 bad input or flags or out of memory, 3 the
 small-cliques condition fails where a bound is required, 4 a check failed.
+Exit 3 has one source, ``drift_lower_bound``'s ``SmallCliquesError``, whose
+line :func:`main` prints.
 
 :func:`main` may be called repeatedly in one process.  It builds its parser
 on the first call and keeps no other state between calls.
@@ -22,7 +24,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .drift import PivotIncrementDistribution, drift_lower_bound
+from .drift import SmallCliquesError, drift_lower_bound
 from .experiments import (
     TrialBatch,
     check_domination,
@@ -65,6 +67,9 @@ def _round12(x: float) -> float:
 
 def _load_graph(args) -> Graph:
     if args.graph is not None:
+        for flag, value in (("--family", args.family), ("--D", args.D)):
+            if value is not None:
+                raise ValueError(f"--graph and {flag} name two graph sources; give one")
         with open(args.graph, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read())
     if args.family is not None:
@@ -179,22 +184,13 @@ def cmd_stats(args) -> int:
 
 def cmd_kappa(args) -> int:
     stats = graph_stats(_load_graph(args))
-    if not stats.small_cliques:
-        print(
-            f"small-cliques condition fails: D={stats.vertex_count} is not greater "
-            f"than 3B+2C={3 * stats.max_neighbourhood + 2 * stats.max_clique}",
-            file=sys.stderr,
-        )
-        return 3
-    bound = drift_lower_bound(
-        stats.max_neighbourhood, stats.max_clique, stats.vertex_count
-    )
+    bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     print(
         json.dumps(
             {
                 "kappa": _round12(bound.kappa),
                 "t_star": _round12(bound.t_star),
-                "mean_U": _round12(bound.mean_increment),
+                "mean_U": _round12(float(bound.law.mean())),
                 "mgf": _round12(bound.mgf_at_t_star),
             }
         )
@@ -231,19 +227,14 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     batch = _build_batch(args)
     stats = graph_stats(batch.graph)
-    if not stats.small_cliques:
-        print("small-cliques condition fails; no bound to check", file=sys.stderr)
-        return 3
-    d, b, c = stats.vertex_count, stats.max_neighbourhood, stats.max_clique
-    dist = PivotIncrementDistribution(b, c, d)
-    bound = drift_lower_bound(b, c, d)
+    bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     n = batch.steps
     with _open_output(args.output) as fh:
         metrics = run_batch(replace(batch, steps=n + 1))
         reports = [
             check_lower_tail(metrics, n, bound.kappa),
-            check_pivot_step_probability(metrics, n, dist),
-            check_domination(metrics, n, dist),
+            check_pivot_step_probability(metrics, n, bound.law),
+            check_domination(metrics, n, bound.law),
         ]
         fh.write(checks_csv_text(reports))
     for r in reports:
@@ -321,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SmallCliquesError as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,15 +117,19 @@ class PivotIncrementDistribution:
         return math.log(x_hi) + 1.0
 
 
+class SmallCliquesError(ValueError):
+    """The small-cliques condition D > 3B + 2C fails, so there is no bound."""
+
+
 @dataclass(frozen=True)
 class DriftBound:
-    """The optimized bound: kappa = -ln(mgf at t_star) / (1 + t_star)."""
+    """The optimized bound: kappa = -ln(law.mgf(t_star)) / (1 + t_star),
+    with the law of U it was optimized over."""
 
     kappa: float
     t_star: float
     mgf_at_t_star: float
-    mean_increment: float
-    t_max: float
+    law: PivotIncrementDistribution
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -148,26 +152,28 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     """Maximize the rate function over the feasible window.
 
-    Requires the small-cliques condition d > 3b + 2c (checked exactly), so
-    the mean increment is positive and an interior maximizer exists.
+    Requires the small-cliques condition d > 3b + 2c, so the mean
+    increment is positive and an interior maximizer exists.  It is checked
+    exactly and first, since U's law does not exist for every graph that
+    fails it; a failure raises ``SmallCliquesError``.
     Golden-section search over the whole window finds it, because the rate
     f(t) = h(t) / (1 + t) is unimodal: h(t) = -ln E[exp(-t U)] is concave
     with h(0) = 0, so each set {f >= L} = {h(t) - L (1 + t) >= 0} is an
     interval.  The rate reads -inf where h <= 0, which keeps this, as that
     set is an interval reaching the window's right end.
     """
-    dist = PivotIncrementDistribution(b, c, d)
     if d <= 3 * b + 2 * c:
-        raise ValueError(
-            f"small-cliques condition d > 3b + 2c fails (b={b}, c={c}, d={d})"
+        raise SmallCliquesError(
+            f"small-cliques condition fails: D={d} is not greater than 3B+2C={3 * b + 2 * c}"
         )
-    mgf = dist.mgf
+    law = PivotIncrementDistribution(b, c, d)
+    mgf = law.mgf
 
     def rate(t: float) -> float:
         m = mgf(t)
         return -math.inf if m >= 1.0 else -math.log(m) / (1.0 + t)
 
-    t_max = dist.t_max()
+    t_max = law.t_max()
     eps = 1e-12 * t_max
     t_star = _golden_max(rate, eps, t_max - eps, _REFINE_TOL)
     mgf_star = mgf(t_star)
@@ -176,8 +182,7 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
         kappa=-math.log(mgf_star) / (1.0 + t_star),
         t_star=t_star,
         mgf_at_t_star=mgf_star,
-        mean_increment=float(dist.mean()),
-        t_max=t_max,
+        law=law,
     )
 
 

@@ -359,21 +359,16 @@ def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
     costs the same whatever its length; ``test_cycle_stats_match_graph_stats``
     pins that closed form to the clique search.
     """
-    if d_values:  # every length, before the first row: the shortest, then the longest
-        cycle_stats(min(d_values) if min(d_values) < 3 else max(d_values))
     rows = []
     for d in d_values:
         stats = cycle_stats(d)
         b, c = stats.max_neighbourhood, stats.max_clique
-        mean_inc = None
-        if d > 2 * b + c:
-            mean_inc = float(PivotIncrementDistribution(b, c, d).mean())
         if stats.small_cliques:
             bound = drift_lower_bound(b, c, d)
-            rows.append(
-                SweepRow(d, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star)
-            )
+            mean_inc = float(bound.law.mean())
+            rows.append(SweepRow(d, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star))
         else:
+            mean_inc = float(PivotIncrementDistribution(b, c, d).mean()) if d > 2 * b + c else None
             rows.append(SweepRow(d, b, c, None, None, mean_inc, None))
     return rows
 

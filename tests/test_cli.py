@@ -58,10 +58,30 @@ def test_stats_missing_source(capsys):
     assert code == 2 and "provide" in err
 
 
-def test_kappa_small_cliques_violation(capsys):
-    code, _, err = run_cli(capsys, "kappa", "--family", "cycle", "--D", "16")
-    assert code == 3
-    assert "small-cliques" in err
+@pytest.mark.parametrize(
+    "other", [["--family", "cycle", "--D", "17"], ["--D", "5"]], ids=["family", "D"]
+)
+def test_graph_file_and_family_conflict(tmp_path, capsys, other):
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1\n1 2\n2 0\n")
+    code, out, err = run_cli(capsys, "stats", "--graph", str(path), *other)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --graph and {other[0]} ")
+
+
+# The 16-cycle is inside U's domain; K_4 is outside it (D <= 2B + C), so
+# these exit 3 only if the small-cliques test comes before U's law is built.
+NO_SMALL_CLIQUES = {
+    "cycle16": (["--family", "cycle", "--D", "16"], "D=16 is not greater than 3B+2C=16"),
+    "complete4": (["--family", "complete", "--D", "4"], "D=4 is not greater than 3B+2C=20"),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(NO_SMALL_CLIQUES))
+def test_kappa_small_cliques_violation(capsys, graph):
+    graph_args, why = NO_SMALL_CLIQUES[graph]
+    code, out, err = run_cli(capsys, "kappa", *graph_args)
+    assert (code, out, err) == (3, "", f"small-cliques condition fails: {why}\n")
 
 
 def test_kappa_seventeen_and_hundred(capsys):
@@ -285,11 +305,15 @@ def test_check_lower_tail_passes_between_resolution_and_wilson_limit(tmp_path, c
     ) in out
 
 
-def test_check_requires_small_cliques(capsys):
-    code, _, err = run_cli(
-        capsys, "check", "--family", "cycle", "--D", "10", "--trials", "5"
+@pytest.mark.parametrize("graph", sorted(NO_SMALL_CLIQUES))
+def test_check_requires_small_cliques(tmp_path, capsys, graph):
+    graph_args, why = NO_SMALL_CLIQUES[graph]
+    out_path = tmp_path / "checks.csv"
+    code, out, err = run_cli(
+        capsys, "check", *graph_args, "--n", "5", "--trials", "5", "--output", str(out_path)
     )
-    assert code == 3
+    assert (code, out, err) == (3, "", f"small-cliques condition fails: {why}\n")
+    assert not out_path.exists()
 
 
 def test_sweep_with_explicit_list(tmp_path, capsys):

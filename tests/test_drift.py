@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ import pytest
 from gpdrift.drift import (
     DriftBound,
     PivotIncrementDistribution,
+    SmallCliquesError,
     chernoff_tail_bound,
     drift_lower_bound,
 )
@@ -142,7 +144,7 @@ def test_mgf_explodes_near_pole():
 def test_kappa_17_respects_jensen_cap():
     bound = drift_lower_bound(4, 2, 17)
     assert 0 < bound.kappa <= 11 / 119
-    assert 0 < bound.t_star < bound.t_max
+    assert 0 < bound.t_star < bound.law.t_max()
     assert 0 < bound.mgf_at_t_star < 1
 
 
@@ -153,8 +155,13 @@ def test_kappa_100_matches_frozen_oracle():
 
 
 def test_kappa_small_cliques_required():
-    with pytest.raises(ValueError, match="small-cliques"):
-        drift_lower_bound(4, 2, 16)
+    # the 16-cycle, inside U's domain, and K_4, outside it: the test comes first
+    for b, c, d in [(4, 2, 16), (4, 4, 4)]:
+        with pytest.raises(SmallCliquesError) as info:
+            drift_lower_bound(b, c, d)
+        assert str(info.value) == (
+            f"small-cliques condition fails: D={d} is not greater than 3B+2C={3 * b + 2 * c}"
+        )
 
 
 def test_kappa_cycle_family_monotone():
@@ -230,7 +237,10 @@ def test_chernoff_bound_against_simulation():
 def test_bound_dataclass_fields():
     bound = drift_lower_bound(4, 2, 17)
     assert isinstance(bound, DriftBound)
-    assert bound.mean_increment == pytest.approx(11 / 119)
+    assert [f.name for f in fields(bound)] == ["kappa", "t_star", "mgf_at_t_star", "law"]
+    assert bound.law == PivotIncrementDistribution(4, 2, 17)
+    assert bound.law.mean() == Fraction(11, 119)
+    assert bound.mgf_at_t_star == bound.law.mgf(bound.t_star)
 
 
 def _dense_grid_kappa(b, c, d, points=2000, zooms=4):

@@ -22,6 +22,7 @@ from gpdrift.piling import (
 from gpdrift.walk import WalkTrace
 
 from oracles import (
+    S3,
     invert_word,
     min_syllable_bfs,
     naive_append,
@@ -33,6 +34,7 @@ from oracles import (
 # the three-vertex graph with one commuting pair: <a, b, c | [a, b]>
 G3 = make_graph(["a", "b", "c"], [(0, 1)])
 Z3 = uniform_groups(3)
+S3x3 = (S3,) * 3  # non-abelian: a product taken in the wrong order shows
 A, B, C = 0, 1, 2
 
 
@@ -105,25 +107,28 @@ def test_invert_examples():
 
 def test_invert_is_involution():
     rng = Random(11)
-    for _ in range(200):
-        w = random_word(G3, Z3, rng.randrange(0, 12), rng)
-        p = pil(w)
-        assert invert(invert(p, Z3), Z3) == p
+    for groups in (Z3, S3x3):
+        for _ in range(200):
+            w = random_word(G3, groups, rng.randrange(0, 12), rng)
+            p = pil(w, groups=groups)
+            assert invert(invert(p, groups), groups) == p
 
 
 def test_inverse_law_matches_inverted_word():
     rng = Random(12)
-    for _ in range(300):
-        w = random_word(G3, Z3, rng.randrange(0, 12), rng)
-        assert pil(invert_word(w, Z3)) == invert(pil(w), Z3)
+    for groups in (Z3, S3x3):
+        for _ in range(300):
+            w = random_word(G3, groups, rng.randrange(0, 12), rng)
+            assert pil(invert_word(w, groups), groups=groups) == invert(pil(w, groups=groups), groups)
 
 
 def test_init_equals_term_of_inverse():
     rng = Random(13)
-    for _ in range(300):
-        w = random_word(G3, Z3, rng.randrange(0, 12), rng)
-        p = pil(w)
-        assert init(p) == term(invert(p, Z3))
+    for groups in (Z3, S3x3):
+        for _ in range(300):
+            w = random_word(G3, groups, rng.randrange(0, 12), rng)
+            p = pil(w, groups=groups)
+            assert init(p) == term(invert(p, groups))
 
 
 def test_concat_examples():
@@ -257,13 +262,14 @@ def test_linearize_round_trips():
     assert linearize(empty_piling(3), G3) == []
     rng = Random(21)
     graphs = [G3, cycle_graph(6), random_graph(5, 0.5, Random(3))]
-    for graph in graphs:
-        groups = uniform_groups(graph.vertex_count)
-        for _ in range(200):
-            w = random_word(graph, groups, rng.randrange(0, 15), rng)
-            p = piling_of_word(w, graph, groups)
-            again = piling_of_word(linearize(p, graph), graph, groups)
-            assert again == p
+    for groups_of in (uniform_groups, lambda d: (S3,) * d):
+        for graph in graphs:
+            groups = groups_of(graph.vertex_count)
+            for _ in range(200):
+                w = random_word(graph, groups, rng.randrange(0, 15), rng)
+                p = piling_of_word(w, graph, groups)
+                again = piling_of_word(linearize(p, graph), graph, groups)
+                assert again == p
 
 
 def test_linearize_is_syllable_reduced():
@@ -302,16 +308,19 @@ def test_linearize_rejects_corrupt_piling():
 
 
 def test_normal_form_is_minimal_bfs_small():
-    # exhaustive over short words on the one-edge graph with Z/3 factors
-    groups = uniform_groups(3, CyclicGroup(3))
-    letters = [(v, g) for v in range(3) for g in (1, 2)]
+    # exhaustive over short words on the one-edge graph: Z/3 factors up to
+    # four letters, S3 factors up to three
+    z3 = uniform_groups(3, CyclicGroup(3))
+    s3_values = [x for x in S3.elements if not S3.is_identity(x)]
+    for groups, values, length in ((z3, (1, 2), 4), (S3x3, s3_values, 3)):
+        letters = [(v, g) for v in range(3) for g in values]
 
-    def walk(word, depth):
-        p = piling_of_word(word, G3, groups)
-        assert p.syllables == min_syllable_bfs(word, G3, groups)
-        if depth == 0:
-            return
-        for letter in letters:
-            walk(word + [letter], depth - 1)
+        def walk(word, depth):
+            p = piling_of_word(word, G3, groups)
+            assert p.syllables == min_syllable_bfs(word, G3, groups)
+            if depth == 0:
+                return
+            for letter in letters:
+                walk(word + [letter], depth - 1)
 
-    walk([], 4)
+        walk([], length)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from gpdrift import walk
-from gpdrift.graphs import cycle_graph, edgeless_graph, graph_stats, make_graph
+from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup, uniform_groups
 from gpdrift.piling import append, init, is_prefix, piling_of_word, render, term
 from gpdrift.walk import (
@@ -405,6 +405,25 @@ def test_kernel_merges_in_order_in_a_nonabelian_group():
         word = random_word(graph, groups, rng.randrange(1, 12), rng)
         kernel, piling = fold(word, graph, groups), piling_of_word(word, graph, groups)
         assert kernel.render(graph.labels) == render(piling, graph.labels)
+
+
+def test_kernel_on_a_direct_product_holds_each_coordinate():
+    # on a complete graph letters at different vertices commute, so string v
+    # holds v's letters multiplied in order, or nothing when they multiply to
+    # the identity: an oracle that does not read the piling module
+    rng = Random(43)
+    for _ in range(1_000):
+        d = rng.randrange(1, 5)
+        graph, groups = complete_graph(d), (S3,) * d
+        word = random_word(graph, groups, rng.randrange(1, 16), rng)
+        product = {}
+        for v, value in word:
+            product[v] = S3.multiply(product[v], value) if v in product else value
+        want = {v: [[x, 0]] for v, x in product.items() if not S3.is_identity(x)}
+        kernel = fold(word, graph, groups)
+        got = {v: [entry[:2] for entry in string] for v, string in kernel.strings.items() if string}
+        assert got == want
+        assert kernel.live == len(want)
 
 
 def test_pivot_replace_identity():
