@@ -27,9 +27,11 @@ from .graphs import (
     Graph,
     GraphStats,
     complete_graph,
+    complete_stats,
     cycle_graph,
     cycle_stats,
     edgeless_graph,
+    edgeless_stats,
     graph_stats,
     make_graph,
     maximal_cliques,

@@ -2,10 +2,11 @@
 
 Subcommands: ``stats`` (graph constants), ``kappa`` (drift lower bound),
 ``simulate`` (trial CSV), ``check`` (inequality checks CSV), ``sweep``
-(bound across a cycle family, CSV).  Output is byte-deterministic given
-the flags: the default seed is the fixed constant DEFAULT_SEED, floats
-print with 12 significant digits, and the worker count (GPDRIFT_WORKERS)
-never changes results.
+(bound across a cycle family, CSV).  ``stats`` and ``kappa`` read a
+family's constants in closed form and build no graph.  Output is
+byte-deterministic given the flags: the default seed is the fixed constant
+DEFAULT_SEED, floats print with 12 significant digits, and the worker count
+(GPDRIFT_WORKERS) never changes results.
 
 Exit codes: 0 ok, 2 bad input or flags or out of memory, 3 the
 small-cliques condition fails where a bound is required, 4 a check failed.
@@ -22,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from .drift import SmallCliquesError, drift_lower_bound
 from .experiments import (
@@ -41,10 +41,13 @@ from .experiments import (
 )
 from .graphs import (
     Graph,
+    GraphStats,
     complete_graph,
+    complete_stats,
     cycle_graph,
     cycle_stats,
     edgeless_graph,
+    edgeless_stats,
     graph_stats,
     parse_graph,
 )
@@ -60,12 +63,22 @@ _FAMILIES = {
     "complete": complete_graph,
 }
 
+# Each family's constants in closed form.  They refuse the vertex counts
+# the constructors refuse, with the same errors.
+_FAMILY_STATS = {
+    "cycle": cycle_stats,
+    "edgeless": edgeless_stats,
+    "complete": complete_stats,
+}
+
 
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _load_graph(args) -> Graph:
+def _read_graph_file(args) -> Graph | None:
+    """The ``--graph`` file's graph, or None when ``--family`` and ``--D``
+    name the graph instead.  Refuses flags that name two sources, or none."""
     if args.graph is not None:
         for flag, value in (("--family", args.family), ("--D", args.D)):
             if value is not None:
@@ -75,8 +88,20 @@ def _load_graph(args) -> Graph:
     if args.family is not None:
         if args.D is None:
             raise ValueError("--family needs --D")
-        return _FAMILIES[args.family](args.D)
+        return None
     raise ValueError("provide --graph FILE or --family NAME --D N")
+
+
+def _load_graph(args) -> Graph:
+    graph = _read_graph_file(args)
+    return _FAMILIES[args.family](args.D) if graph is None else graph
+
+
+def _load_stats(args) -> GraphStats:
+    """The graph's constants.  A family's come from its closed form, so
+    no graph is built."""
+    graph = _read_graph_file(args)
+    return _FAMILY_STATS[args.family](args.D) if graph is None else graph_stats(graph)
 
 
 def _label_index(graph: Graph) -> dict[str, int]:
@@ -168,7 +193,7 @@ def _build_batch(args) -> TrialBatch:
 
 
 def cmd_stats(args) -> int:
-    stats = graph_stats(_load_graph(args))
+    stats = _load_stats(args)
     print(
         json.dumps(
             {
@@ -183,7 +208,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    stats = graph_stats(_load_graph(args))
+    stats = _load_stats(args)
     bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     print(
         json.dumps(
@@ -230,7 +255,7 @@ def cmd_check(args) -> int:
     bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     n = batch.steps
     with _open_output(args.output) as fh:
-        metrics = run_batch(replace(batch, steps=n + 1))
+        metrics = run_batch(batch._replace(steps=n + 1))
         reports = [
             check_lower_tail(metrics, n, bound.kappa),
             check_pivot_step_probability(metrics, n, bound.law),

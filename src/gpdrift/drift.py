@@ -19,8 +19,10 @@ maximum is the reported drift bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,24 +30,43 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class PivotIncrementDistribution:
     """The integer step distribution: +1 with probability (d-b-c)/d,
     and P(U <= -j) = ((b+c)/d) * r**(j-1) with r = b/(d-b-c).
 
     It exists only for c >= 1, b >= 0 and d > 2b + c, where r < 1;
     construction checks this once and raises ``ValueError`` outside it.
+    Immutable; equal and hashed by ``(b, c, d)``.
     """
 
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.c < 1 or self.b < 0:
+    def __init__(self, b: int, c: int, d: int):
+        if c < 1 or b < 0:
             raise ValueError("need c >= 1 and b >= 0")
-        if self.d <= 2 * self.b + self.c:
-            raise ValueError(f"need d > 2b + c (got b={self.b}, c={self.c}, d={self.d})")
+        if d <= 2 * b + c:
+            raise ValueError(f"need d > 2b + c (got b={b}, c={c}, d={d})")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.b, self.c, self.d) == (other.b, other.c, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"PivotIncrementDistribution(b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @property
     def p_up(self) -> float:
@@ -84,6 +105,8 @@ class PivotIncrementDistribution:
         Positive exactly when d > 3b + 2c; the boundary case is an exact zero,
         which is why this stays in rational arithmetic.
         """
+        from fractions import Fraction  # only here, so importing gpdrift skips it
+
         b, c, d = self.b, self.c, self.d
         return Fraction(d - b - c, d) - Fraction(b + c, d) * Fraction(d - b - c, d - 2 * b - c)
 
@@ -121,8 +144,7 @@ class SmallCliquesError(ValueError):
     """The small-cliques condition D > 3B + 2C fails, so there is no bound."""
 
 
-@dataclass(frozen=True)
-class DriftBound:
+class DriftBound(NamedTuple):
     """The optimized bound: kappa = -ln(law.mgf(t_star)) / (1 + t_star),
     with the law of U it was optimized over."""
 

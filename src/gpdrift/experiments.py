@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
 from collections import Counter
-from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .drift import PivotIncrementDistribution, drift_lower_bound
 from .graphs import Graph, cycle_stats, graph_stats  # graph_stats: bench/tracer.py wraps this name
@@ -49,8 +46,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class TrialBatch:
+class TrialBatch(NamedTuple):
     graph: Graph
     groups: tuple[VertexGroup, ...]
     nu: object
@@ -59,8 +55,7 @@ class TrialBatch:
     base_seed: int
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
+class TrialMetrics(NamedTuple):
     """One walk, reduced as it ran to the counts the checks read.  Each
     pair holds the value after step ``steps - 1`` and after step
     ``steps``; step 0 reads 0.  Step k depends only on steps 1..k, so an
@@ -99,14 +94,12 @@ class TrialMetrics:
         return self._at(self.gain_pair, n)
 
 
-@dataclass(frozen=True)
-class DriftEstimate:
+class DriftEstimate(NamedTuple):
     mean: float
     stderr: float | None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     statistic: float
     threshold: float
@@ -114,8 +107,7 @@ class CheckReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     d: int
     b: int
     c: int
@@ -139,6 +131,8 @@ def _fork_block(
     """Fork a child that runs trials [lo, hi) and writes one pickle of
     ``(True, metrics)`` or ``(False, exception)`` to a pipe, then exits.
     Returns the child's pid and the read end of its pipe."""
+    import pickle  # imported by the forking path only, so `import gpdrift` skips it
+
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -173,6 +167,9 @@ def _fan_out(batch: TrialBatch, workers: int) -> list[TrialMetrics]:
     trial order; if blocks fail, the lowest failing block's error is
     raised, as the serial loop would raise it.  Every child is reaped,
     and any child still running when an error leaves is killed first."""
+    if workers > 1:  # only a batch that forks reads pickles or kills children
+        import pickle
+        import signal
     cuts = [batch.trials * i // workers for i in range(workers + 1)]
     pending: list[tuple[int, BinaryIO]] = []
     try:

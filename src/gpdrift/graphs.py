@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 10**7
 """The most vertices a graph built from a vertex count may have: the
@@ -21,7 +20,6 @@ before anything is allocated, where building it would exhaust memory.
 Graphs near the limit still need several GB."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with labelled vertices.
 
@@ -32,10 +30,29 @@ class Graph:
     input, and the family constructors (:func:`cycle_graph`,
     :func:`complete_graph`, :func:`edgeless_graph`) build valid sets
     directly.  Build instances through one of them.
+
+    Immutable; equal and hashed by ``(labels, neighbors)``.
     """
 
     labels: tuple[str, ...]
     neighbors: tuple[frozenset[int], ...]
+
+    def __init__(self, labels: tuple[str, ...], neighbors: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "neighbors", neighbors)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.neighbors == other.neighbors
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.neighbors))
 
     @property
     def vertex_count(self) -> int:
@@ -73,8 +90,7 @@ class Graph:
         return f"Graph({self.vertex_count} vertices, {edge_count} edges)"
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """The constants controlling the drift bound, all computed exactly."""
 
     vertex_count: int
@@ -168,14 +184,15 @@ def parse_graph(text: str) -> Graph:
 
 
 def _check_vertex_count(d: int) -> None:
+    """Raise ``ValueError`` if ``d < 1`` or past :data:`MAX_VERTICES`."""
+    if d < 1:
+        raise ValueError("graph needs at least one vertex")
     if d > MAX_VERTICES:
         raise ValueError(f"a graph of {d} vertices is too large; the limit is {MAX_VERTICES}")
 
 
 def _labels(d: int) -> tuple[str, ...]:
-    """``v0 .. v{d-1}``; raises ``ValueError`` if ``d < 1`` or past :data:`MAX_VERTICES`."""
-    if d < 1:
-        raise ValueError("graph needs at least one vertex")
+    """``v0 .. v{d-1}``, once ``d`` passes :func:`_check_vertex_count`."""
     _check_vertex_count(d)
     return tuple([f"v{i}" for i in range(d)])
 
@@ -191,6 +208,22 @@ def cycle_stats(d: int) -> GraphStats:
     _check_vertex_count(d)
     b, c = (3, 3) if d == 3 else (4, 2)
     return GraphStats(d, c, b)
+
+
+def edgeless_stats(d: int) -> GraphStats:
+    """``graph_stats(edgeless_graph(d))`` in closed form, building nothing:
+    every clique is one vertex with no neighbour, so ``B = C = 1``.  A count
+    below 1 or past :data:`MAX_VERTICES` raises ``ValueError``."""
+    _check_vertex_count(d)
+    return GraphStats(d, 1, 1)
+
+
+def complete_stats(d: int) -> GraphStats:
+    """``graph_stats(complete_graph(d))`` in closed form, building nothing:
+    the one maximal clique is every vertex, so ``B = C = D``.  A count
+    below 1 or past :data:`MAX_VERTICES` raises ``ValueError``."""
+    _check_vertex_count(d)
+    return GraphStats(d, d, d)
 
 
 def cycle_graph(d: int) -> Graph:

@@ -7,12 +7,13 @@ returns the identity (the letter alphabet excludes it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 
 class VertexGroup:
     """Interface for one vertex group."""
+
+    __slots__ = ()
 
     def multiply(self, x, y):
         raise NotImplementedError
@@ -35,9 +36,23 @@ class VertexGroup:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IntegerGroup(VertexGroup):
-    """Infinite cyclic group written additively; elements are nonzero ints."""
+    """Infinite cyclic group written additively; elements are nonzero ints.
+
+    Immutable, and every instance is equal to every other."""
+
+    __slots__ = ()  # no instance attributes, so none can be set
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "IntegerGroup()"
 
     def multiply(self, x, y):
         return x + y
@@ -59,15 +74,33 @@ class IntegerGroup(VertexGroup):
         return int(k)
 
 
-@dataclass(frozen=True)
 class CyclicGroup(VertexGroup):
-    """Integers mod ``modulus`` under addition; elements are 0..modulus-1."""
+    """Integers mod ``modulus`` under addition; elements are 0..modulus-1.
+
+    Immutable; equal and hashed by ``modulus``."""
 
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int):
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.modulus,))
+
+    def __repr__(self) -> str:
+        return f"CyclicGroup(modulus={self.modulus!r})"
 
     def multiply(self, x, y):
         return (x + y) % self.modulus

@@ -53,8 +53,6 @@ survivors are always a bottom part of the stack.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from random import Random
 from typing import Sequence
 
@@ -145,9 +143,13 @@ class ParetoLetter:
         e = 1.0 / self.alpha
         try:
             return int(u ** -e)
-        except OverflowError:
+        except OverflowError:  # rare, so the exact modules are imported only here
             if e.is_integer():
+                from fractions import Fraction
+
                 return math.floor(Fraction(u) ** -int(e))
+            from decimal import Decimal, localcontext
+
             with localcontext() as ctx:
                 ctx.prec = int(e * -math.log10(u)) + 30
                 return int(Decimal(u) ** Decimal(-e))

@@ -745,9 +745,15 @@ def test_deeply_nested_graph_json_exits_2(tmp_path, capsys, monkeypatch):
     assert (code, err) == (2, done.stderr)
 
 
+def _simulate_once(family: str, d: int) -> list[str]:
+    """A one-walk, one-step simulate.  It builds the graph, where stats and
+    kappa read a family's closed form."""
+    return ["simulate", "--family", family, "--D", str(d), "--n", "1", "--trials", "1"]
+
+
 def test_graph_too_large_for_memory_exits_2(tmp_path):
     # under the vertex limit, but K_20000's neighbour sets need about 10 GB
-    done = _run_alone(tmp_path, ["stats", "--family", "complete", "--D", "20000"], 700 << 20)
+    done = _run_alone(tmp_path, _simulate_once("complete", 20000), 700 << 20)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: out of memory")
     assert "Traceback" not in done.stderr
@@ -755,6 +761,8 @@ def test_graph_too_large_for_memory_exits_2(tmp_path):
 
 def test_complete_3000_fits_in_700_mb(tmp_path):
     # K_3000 holds its neighbour sets and no edge tuple beside them
+    done = _run_alone(tmp_path, _simulate_once("complete", 3000), 700 << 20)
+    assert done.returncode == 0, done.stderr
     done = _run_alone(tmp_path, ["stats", "--family", "complete", "--D", "3000"], 700 << 20)
     assert done.returncode == 0, done.stderr
     assert done.stdout == '{"D": 3000, "C": 3000, "B": 3000, "small_cliques": false}\n'

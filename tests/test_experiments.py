@@ -255,7 +255,7 @@ class ParentFailsAfterChild:
 def test_parent_block_error_kills_a_child_blocked_on_its_pipe(monkeypatch, tmp_path):
     # a trial's record is a few dozen bytes, whatever its steps, so it
     # takes thousands of trials to fill the pipe
-    steps, trials = 5, 4000
+    steps, trials = 5, 8000
     child_block = run_batch(batch17(steps=steps, trials=trials))[trials // 2:]
     assert len(pickle.dumps((True, child_block), pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     nu = ParentFailsAfterChild(os.getpid(), steps * (trials // 2), tmp_path / "child-done")

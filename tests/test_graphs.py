@@ -11,9 +11,11 @@ from gpdrift.cli import main
 from gpdrift.experiments import sweep_cycles
 from gpdrift.graphs import (
     complete_graph,
+    complete_stats,
     cycle_graph,
     cycle_stats,
     edgeless_graph,
+    edgeless_stats,
     graph_stats,
     make_graph,
     maximal_cliques,
@@ -159,11 +161,39 @@ def test_cycle_stats_match_graph_stats():
         assert cycle_stats(d) == graph_stats(cycle_graph(d)), d
 
 
+def test_family_closed_forms_match_graph_stats():
+    # the clique search vouches for the closed forms stats and kappa read;
+    # K_1100 is a clique deeper than the default recursion limit
+    for d in range(1, 61):
+        assert edgeless_stats(d) == graph_stats(edgeless_graph(d)), d
+        assert complete_stats(d) == graph_stats(complete_graph(d)), d
+    assert complete_stats(1100) == graph_stats(complete_graph(1100))
+
+
+@pytest.mark.parametrize(
+    "build, stats",
+    [(cycle_graph, cycle_stats), (edgeless_graph, edgeless_stats), (complete_graph, complete_stats)],
+    ids=["cycle", "edgeless", "complete"],
+)
+def test_family_closed_forms_refuse_what_the_family_refuses(build, stats):
+    for d in (-4, 0, 1, 2, graphs.MAX_VERTICES + 1):
+        try:
+            g = build(d)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                stats(d)
+            assert str(info.value) == str(exc), d
+        else:
+            assert stats(d) == graph_stats(g), d
+
+
 def test_vertex_limit_is_checked_before_allocation():
     over = graphs.MAX_VERTICES + 1
     builds = [
         lambda: sweep_cycles([3, over]),
         lambda: cycle_stats(over),
+        lambda: edgeless_stats(over),
+        lambda: complete_stats(over),
         lambda: cycle_graph(over),
         lambda: edgeless_graph(over),
         lambda: complete_graph(over),
@@ -191,8 +221,9 @@ def test_vertex_limit_is_inclusive(monkeypatch):
             build()
 
 
-def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
-    # the sweep reads the closed form, so its cost does not grow with D
+@pytest.fixture
+def graph_inits(monkeypatch):
+    """Every graph built while the test runs."""
     calls = []
     real = graphs.Graph.__init__
 
@@ -201,12 +232,30 @@ def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(graphs.Graph, "__init__", counting)
+    return calls
+
+
+def test_sweep_builds_no_graph(tmp_path, capsys, graph_inits):
+    # the sweep reads the closed form, so its cost does not grow with D
     for argv in ([], ["--D-list", "1000000"]):
         assert main(["sweep", *argv, "--output", str(tmp_path / "sweep.csv")]) == 0
         capsys.readouterr()
-        assert calls == [], argv
+        assert graph_inits == [], argv
     assert cycle_graph(5).vertex_count == 5
-    assert len(calls) == 1  # the counter sees a graph being built
+    assert len(graph_inits) == 1  # the counter sees a graph being built
+
+
+@pytest.mark.parametrize("family", ["cycle", "edgeless", "complete"])
+def test_stats_and_kappa_of_a_family_build_no_graph(family, tmp_path, capsys, graph_inits):
+    # both read the family's closed form, so D = 10^7 costs what D = 17 does
+    for command in ("stats", "kappa"):
+        for d in (17, graphs.MAX_VERTICES):
+            assert main([command, "--family", family, "--D", str(d)]) in (0, 3)
+            capsys.readouterr()
+            assert graph_inits == [], (command, d)
+    (tmp_path / "tri.txt").write_text("0 1\n1 2\n2 0\n")
+    assert main(["stats", "--graph", str(tmp_path / "tri.txt")]) == 0
+    assert len(graph_inits) == 1  # a graph file is still parsed into a graph
 
 
 def test_neighbors_match_adjacency_scan():
