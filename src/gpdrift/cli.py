@@ -2,8 +2,9 @@
 
 Subcommands: ``stats`` (graph constants), ``kappa`` (drift lower bound),
 ``simulate`` (trial CSV), ``check`` (inequality checks CSV), ``sweep``
-(bound across a cycle family, CSV).  ``stats`` and ``kappa`` read a
-family's constants in closed form and build no graph.  Output is
+(bound across a cycle family, CSV).  ``stats``, ``kappa`` and ``check``
+read a family's constants in closed form, so ``check`` refuses a graph
+that fails the small-cliques condition before it builds it.  Output is
 byte-deterministic given the flags: the default seed is the fixed constant
 DEFAULT_SEED, floats print with 12 significant digits, and the worker count
 (GPDRIFT_WORKERS) never changes results.
@@ -57,18 +58,13 @@ from .walk import FixedWord, ParetoLetter, WordChoice, fold
 
 DEFAULT_SEED = 1729
 
+# Each family's constructor, and its constants in closed form.  The closed
+# form refuses the vertex counts the constructor refuses, with the same
+# errors.
 _FAMILIES = {
-    "cycle": cycle_graph,
-    "edgeless": edgeless_graph,
-    "complete": complete_graph,
-}
-
-# Each family's constants in closed form.  They refuse the vertex counts
-# the constructors refuse, with the same errors.
-_FAMILY_STATS = {
-    "cycle": cycle_stats,
-    "edgeless": edgeless_stats,
-    "complete": complete_stats,
+    "cycle": (cycle_graph, cycle_stats),
+    "edgeless": (edgeless_graph, edgeless_stats),
+    "complete": (complete_graph, complete_stats),
 }
 
 
@@ -92,16 +88,11 @@ def _read_graph_file(args) -> Graph | None:
     raise ValueError("provide --graph FILE or --family NAME --D N")
 
 
-def _load_graph(args) -> Graph:
-    graph = _read_graph_file(args)
-    return _FAMILIES[args.family](args.D) if graph is None else graph
-
-
-def _load_stats(args) -> GraphStats:
-    """The graph's constants.  A family's come from its closed form, so
-    no graph is built."""
-    graph = _read_graph_file(args)
-    return _FAMILY_STATS[args.family](args.D) if graph is None else graph_stats(graph)
+def _load_stats(args, graph: Graph | None) -> GraphStats:
+    """The constants of ``graph``, the ``--graph`` file's graph.  When it
+    is None, they come from the family's closed form and no graph is
+    built."""
+    return _FAMILIES[args.family][1](args.D) if graph is None else graph_stats(graph)
 
 
 def _label_index(graph: Graph) -> dict[str, int]:
@@ -174,8 +165,11 @@ def _add_walk_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed")
 
 
-def _build_batch(args) -> TrialBatch:
-    graph = _load_graph(args)
+def _build_batch(args, graph: Graph | None) -> TrialBatch:
+    """The walk batch on ``graph``, the ``--graph`` file's graph, or on the
+    family graph, built here, when it is None."""
+    if graph is None:
+        graph = _FAMILIES[args.family][0](args.D)
     groups = groups_from_spec(args.groups, graph.vertex_count)
     nu = _parse_nu(args.nu, graph, groups) if args.nu else FixedWord(((0, groups[0].from_int(1)),))
     if args.n < 1:
@@ -193,7 +187,7 @@ def _build_batch(args) -> TrialBatch:
 
 
 def cmd_stats(args) -> int:
-    stats = _load_stats(args)
+    stats = _load_stats(args, _read_graph_file(args))
     print(
         json.dumps(
             {
@@ -208,7 +202,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    stats = _load_stats(args)
+    stats = _load_stats(args, _read_graph_file(args))
     bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
     print(
         json.dumps(
@@ -230,7 +224,7 @@ def _open_output(path: str):
 
 
 def cmd_simulate(args) -> int:
-    batch = _build_batch(args)
+    batch = _build_batch(args, _read_graph_file(args))
     with _open_output(args.output) as fh:
         metrics = run_batch(batch)
         fh.write(trials_csv_text(metrics))
@@ -250,9 +244,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    batch = _build_batch(args)
-    stats = graph_stats(batch.graph)
+    graph = _read_graph_file(args)
+    stats = _load_stats(args, graph)
     bound = drift_lower_bound(stats.max_neighbourhood, stats.max_clique, stats.vertex_count)
+    batch = _build_batch(args, graph)
     n = batch.steps
     with _open_output(args.output) as fh:
         metrics = run_batch(batch._replace(steps=n + 1))

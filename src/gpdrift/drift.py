@@ -19,7 +19,11 @@ maximum is the reported drift bound.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
+
+from ._frozen import Frozen
+from .graphs import GraphStats
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -30,7 +34,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-9
 
 
-class PivotIncrementDistribution:
+class PivotIncrementDistribution(Frozen):
     """The integer step distribution: +1 with probability (d-b-c)/d,
     and P(U <= -j) = ((b+c)/d) * r**(j-1) with r = b/(d-b-c).
 
@@ -39,6 +43,7 @@ class PivotIncrementDistribution:
     Immutable; equal and hashed by ``(b, c, d)``.
     """
 
+    _fields = ("b", "c", "d")
     b: int
     c: int
     d: int
@@ -48,31 +53,13 @@ class PivotIncrementDistribution:
             raise ValueError("need c >= 1 and b >= 0")
         if d <= 2 * b + c:
             raise ValueError(f"need d > 2b + c (got b={b}, c={c}, d={d})")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        Frozen.__init__(self, b, c, d)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.b, self.c, self.d) == (other.b, other.c, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.b, self.c, self.d))
-
-    def __repr__(self) -> str:
-        return f"PivotIncrementDistribution(b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-    @property
+    @cached_property
     def p_up(self) -> float:
         return (self.d - self.b - self.c) / self.d
 
-    @property
+    @cached_property
     def ratio(self) -> float:
         return self.b / (self.d - self.b - self.c)
 
@@ -114,11 +101,8 @@ class PivotIncrementDistribution:
         """E[exp(-t U)] in closed form, from summing the geometric tail."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        b, c, d = self.b, self.c, self.d
         x = math.exp(t)
-        p = (d - b - c) / d
-        q = (b + c) / d
-        r = b / (d - b - c)
+        p, q, r = self.p_up, (self.b + self.c) / self.d, self.ratio
         if r * x >= 1.0:
             raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
         return p / x + q * (1.0 - r) * x / (1.0 - r * x)
@@ -133,7 +117,7 @@ class PivotIncrementDistribution:
         b, c, d = self.b, self.c, self.d
         if b > 0:
             return math.log((d - b - c) / b)
-        p = (d - c) / d
+        p = self.p_up
         q = c / d
         # exp(-t) p + q exp(t) = 1 has roots x = e^t at (1 +- sqrt(1-4pq)) / 2q
         x_hi = (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * p * q))) / (2.0 * q)
@@ -184,7 +168,7 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     interval.  The rate reads -inf where h <= 0, which keeps this, as that
     set is an interval reaching the window's right end.
     """
-    if d <= 3 * b + 2 * c:
+    if not GraphStats(d, c, b).small_cliques:
         raise SmallCliquesError(
             f"small-cliques condition fails: D={d} is not greater than 3B+2C={3 * b + 2 * c}"
         )

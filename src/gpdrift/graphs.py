@@ -13,6 +13,8 @@ import warnings
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
+from ._frozen import Frozen
+
 MAX_VERTICES = 10**7
 """The most vertices a graph built from a vertex count may have: the
 families and plain-text edge lists.  A larger count raises ``ValueError``
@@ -20,7 +22,7 @@ before anything is allocated, where building it would exhaust memory.
 Graphs near the limit still need several GB."""
 
 
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph with labelled vertices.
 
     ``neighbors[i]`` holds the vertices adjacent to ``i``: the sets are
@@ -34,25 +36,9 @@ class Graph:
     Immutable; equal and hashed by ``(labels, neighbors)``.
     """
 
+    _fields = ("labels", "neighbors")
     labels: tuple[str, ...]
     neighbors: tuple[frozenset[int], ...]
-
-    def __init__(self, labels: tuple[str, ...], neighbors: tuple[frozenset[int], ...]):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "neighbors", neighbors)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.labels == other.labels and self.neighbors == other.neighbors
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.neighbors))
 
     @property
     def vertex_count(self) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from random import Random
 
+from ._frozen import Frozen
+
 
 class VertexGroup:
     """Interface for one vertex group."""
@@ -36,23 +38,12 @@ class VertexGroup:
         raise NotImplementedError
 
 
-class IntegerGroup(VertexGroup):
+class IntegerGroup(Frozen, VertexGroup):
     """Infinite cyclic group written additively; elements are nonzero ints.
 
     Immutable, and every instance is equal to every other."""
 
     __slots__ = ()  # no instance attributes, so none can be set
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "IntegerGroup()"
 
     def multiply(self, x, y):
         return x + y
@@ -74,33 +65,18 @@ class IntegerGroup(VertexGroup):
         return int(k)
 
 
-class CyclicGroup(VertexGroup):
+class CyclicGroup(Frozen, VertexGroup):
     """Integers mod ``modulus`` under addition; elements are 0..modulus-1.
 
     Immutable; equal and hashed by ``modulus``."""
 
+    _fields = ("modulus",)
     modulus: int
 
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash((self.modulus,))
-
-    def __repr__(self) -> str:
-        return f"CyclicGroup(modulus={self.modulus!r})"
+        Frozen.__init__(self, modulus)
 
     def multiply(self, x, y):
         return (x + y) % self.modulus

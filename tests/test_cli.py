@@ -393,7 +393,24 @@ def test_simulate_and_check_run_one_batch(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == {"run_batch": [8], "graph_stats": 0}
     calls["run_batch"].clear()
     code, _, _ = run_cli(capsys, "check", *walk, "--output", str(tmp_path / "c.csv"))
-    assert code == 0 and calls == {"run_batch": [9], "graph_stats": 1}
+    # a family's constants come from its closed form
+    assert code == 0 and calls == {"run_batch": [9], "graph_stats": 0}
+
+    # a graph file is parsed once, and its constants are computed once
+    calls["run_batch"].clear()
+    calls["parse_graph"] = 0
+    real_parse_graph = cli.parse_graph
+
+    def parse_graph(text):
+        calls["parse_graph"] += 1
+        return real_parse_graph(text)
+
+    monkeypatch.setattr(cli, "parse_graph", parse_graph)
+    path = tmp_path / "c17.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 17}\n" for i in range(17)))
+    code, _, _ = run_cli(capsys, "check", "--graph", str(path), *walk[4:],
+                         "--output", str(tmp_path / "g.csv"))
+    assert code == 0 and calls == {"run_batch": [9], "graph_stats": 1, "parse_graph": 1}
 
 
 @pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
@@ -757,6 +774,17 @@ def test_graph_too_large_for_memory_exits_2(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: out of memory")
     assert "Traceback" not in done.stderr
+
+
+def test_check_refuses_a_family_too_large_to_build(tmp_path):
+    # K_20000 fails the small-cliques condition, and check says so from the
+    # closed form without building the graph that would not fit
+    argv = ["check", "--family", "complete", "--D", "20000", "--n", "5", "--trials", "5"]
+    done = _run_alone(tmp_path, argv, 700 << 20)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "small-cliques condition fails: D=20000 is not greater than 3B+2C=100000\n"
+    assert done.stdout == ""
+    assert _files(tmp_path) == {}
 
 
 def test_complete_3000_fits_in_700_mb(tmp_path):

@@ -258,6 +258,19 @@ def test_stats_and_kappa_of_a_family_build_no_graph(family, tmp_path, capsys, gr
     assert len(graph_inits) == 1  # a graph file is still parsed into a graph
 
 
+def test_check_refuses_a_family_before_it_builds(tmp_path, capsys, graph_inits):
+    # check reads K_4's constants in closed form and refuses them before it
+    # builds the graph or opens --output
+    out_path = tmp_path / "checks.csv"
+    argv = ["check", "--family", "complete", "--D", "4", "--n", "5", "--trials", "5",
+            "--output", str(out_path)]
+    assert main(argv) == 3
+    _, err = capsys.readouterr()
+    assert err == "small-cliques condition fails: D=4 is not greater than 3B+2C=20\n"
+    assert graph_inits == []
+    assert not out_path.exists()
+
+
 def test_neighbors_match_adjacency_scan():
     assert make_graph(["a", "b"], [(0, 1)]).neighbors == (frozenset({1}), frozenset({0}))
     rng = Random(31)

@@ -158,6 +158,8 @@ def test_groups_equality_and_hashing():
     assert g.modulus == 4
     assert pickle.loads(pickle.dumps(g)) == g
     assert pickle.loads(pickle.dumps(IntegerGroup())) == IntegerGroup()
+    assert repr(CyclicGroup(4)) == "CyclicGroup(modulus=4)"
+    assert repr(IntegerGroup()) == "IntegerGroup()"
 
 
 def test_law_equality_hashing_and_validation():
