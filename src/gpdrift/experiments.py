@@ -365,7 +365,10 @@ def sweep_cycles(d_values: Sequence[int]) -> list[SweepRow]:
             mean_inc = float(bound.law.mean())
             rows.append(SweepRow(d, b, c, bound.kappa, bound.t_star, mean_inc, bound.mgf_at_t_star))
         else:
-            mean_inc = float(PivotIncrementDistribution(b, c, d).mean()) if d > 2 * b + c else None
+            try:
+                mean_inc = float(PivotIncrementDistribution(b, c, d).mean())
+            except ValueError:  # outside U's domain, which the law's constructor decides
+                mean_inc = None
             rows.append(SweepRow(d, b, c, None, None, mean_inc, None))
     return rows
 

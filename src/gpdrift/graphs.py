@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Sequence
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable, Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -52,21 +54,16 @@ class Graph(Frozen):
         )
 
     @cached_property
-    def nonneighbors(self) -> tuple[tuple[int, ...], ...]:
+    def nonneighbors(self) -> Sequence[tuple[int, ...]]:
         """Per vertex: the other vertices it does not commute past.
 
-        Lazy because it is quadratic in the vertex count; only ``Piling``
-        operations need it.  The walk kernel, strong choices and pivot
-        replacement, word parsing and clique statistics read ``neighbors``
-        instead.  Every row draws its indices from one tuple, so the rows
-        share int objects instead of each holding its own copies of those
-        above 256.
+        Only ``Piling`` operations read it, one row per letter they place;
+        the walk kernel, strong choices and pivot replacement, word parsing
+        and clique statistics read ``neighbors`` instead.  Taking it costs
+        O(1): each row is built on its first read (:class:`_NonNeighborRows`),
+        so no O(D²) table is ever held for rows nothing reads.
         """
-        indices = tuple(range(self.vertex_count))
-        return tuple(
-            tuple(j for j in indices if j != i and j not in nbrs)
-            for i, nbrs in enumerate(self.neighbors)
-        )
+        return _NonNeighborRows(self.neighbors)
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.neighbors[i]
@@ -74,6 +71,43 @@ class Graph(Frozen):
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         edge_count = sum(map(len, self.neighbors)) // 2
         return f"Graph({self.vertex_count} vertices, {edge_count} edges)"
+
+
+class _NonNeighborRows(Sequence):
+    """``Graph.nonneighbors``: row ``i`` is the tuple, in increasing order,
+    of the vertices other than ``i`` not adjacent to ``i``.
+
+    A row is built in O(D) on its first read and kept, so later reads
+    return the same tuple.  Every row draws its ints from one
+    ``tuple(range(D))``, so the rows share int objects instead of each
+    holding its own copies of those above 256.  Rows are indexed by int as
+    a tuple is, negative indices and ``IndexError`` included.
+
+    Safe to share across threads: filling a row, or the shared index
+    tuple, is an idempotent write of equal values, so a race at worst
+    builds one twice.
+    """
+
+    __slots__ = ("_neighbors", "_vertices", "_indices", "_rows")
+
+    def __init__(self, neighbors: tuple[frozenset[int], ...]):
+        self._neighbors = neighbors
+        self._vertices = range(len(neighbors))
+        self._indices = None
+        self._rows: dict[int, tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._neighbors)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = self._vertices[i]  # wraps a negative index, refuses one out of range
+        row = self._rows.get(i)
+        if row is None:
+            if self._indices is None:
+                self._indices = tuple(self._vertices)
+            excluded = self._neighbors[i] | {i}
+            row = self._rows[i] = tuple(filterfalse(excluded.__contains__, self._indices))
+        return row
 
 
 class GraphStats(NamedTuple):

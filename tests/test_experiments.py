@@ -660,6 +660,21 @@ def test_sweep_rows_and_markers():
     assert ks == sorted(ks)
 
 
+def test_sweep_mean_increment_follows_the_laws_domain():
+    # U's law exists for d > 2B + C = 10 on the longer cycles (and for
+    # d > 9 on the triangle): below that the row has no mean, above it the
+    # mean is the law's own, whether or not the small-cliques condition holds
+    rows = sweep_cycles(range(3, 18))
+    assert [r.d for r in rows] == list(range(3, 18))
+    for r in rows:
+        if r.d <= 10:
+            assert r.mean_increment is None, r
+        else:
+            law = PivotIncrementDistribution(r.b, r.c, r.d)
+            assert r.mean_increment == float(law.mean()), r
+    assert [r.d for r in rows if r.kappa is not None] == [17]
+
+
 def test_sweep_csv_format():
     text = sweep_csv_text(sweep_cycles([16, 17]))
     lines = text.strip().split("\n")

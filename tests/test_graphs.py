@@ -489,3 +489,85 @@ def test_nonneighbors_rows_share_index_objects():
     g = cycle_graph(600)
     assert len({id(j) for row in g.nonneighbors for j in row}) <= g.vertex_count
     assert g.nonneighbors[0] == tuple(range(2, 599))
+
+
+def _nonneighbors_by_definition(g):
+    return [
+        tuple(j for j in range(g.vertex_count) if j != i and j not in nbrs)
+        for i, nbrs in enumerate(g.neighbors)
+    ]
+
+
+def test_nonneighbor_rows_match_the_definition():
+    rng = Random(27)
+    graphs_ = [build(d) for build in (edgeless_graph, complete_graph) for d in range(1, 13)]
+    graphs_ += [cycle_graph(d) for d in range(3, 13)]
+    graphs_ += [random_graph(rng.randrange(1, 13), rng.random(), rng) for _ in range(40)]
+    for g in graphs_:
+        expected = _nonneighbors_by_definition(g)
+        rows = g.nonneighbors
+        assert len(rows) == g.vertex_count
+        # read in a shuffled order, so no row relies on an earlier one
+        order = list(range(g.vertex_count))
+        rng.shuffle(order)
+        for i in order:
+            assert type(rows[i]) is tuple and rows[i] == expected[i]
+        assert list(rows) == expected
+        assert g.nonneighbors is rows  # the one cached sequence answers every read
+
+
+def test_nonneighbor_rows_index_as_a_tuple_does():
+    g = cycle_graph(7)
+    rows = g.nonneighbors
+    for i in range(-7, 7):
+        assert rows[i] is rows[i % 7]  # a row is built once and kept
+    for i in (7, -8, 10**9):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(TypeError):
+        rows[1.0]
+    assert rows[-1] == (1, 2, 3, 4)
+
+
+def test_nonneighbor_rows_are_built_on_first_read():
+    # two rows of a 3000-cycle hold about 6000 ints; the whole table would
+    # hold about 9 million, some 70 MB
+    g = cycle_graph(3000)
+    tracemalloc.start()
+    try:
+        rows = g.nonneighbors
+        first, last = rows[0], rows[-1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert first == tuple(range(2, 2999)) and last == tuple(range(1, 2998))
+
+
+def test_nonneighbor_rows_read_across_threads():
+    # rows filled by racing threads are the rows of the definition
+    import threading
+
+    g = random_graph(60, 0.3, Random(5))
+    expected = _nonneighbors_by_definition(g)
+    seen = [[] for _ in range(6)]
+
+    def read(k):
+        order = list(range(g.vertex_count))
+        Random(k).shuffle(order)
+        seen[k] = [(i, g.nonneighbors[i]) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(seen))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for reads in seen:
+        assert len(reads) == g.vertex_count
+        assert all(row == expected[i] for i, row in reads)

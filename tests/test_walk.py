@@ -557,6 +557,11 @@ def test_debug_json_never_builds_the_quadratic_table():
     assert [(step["half"], step["full"]) for step in doc["steps"]] == [
         (render(h, graph.labels), render(f, graph.labels)) for h, f in zip(half, full)
     ]
+    # the replay's appends read the rows of the vertices they placed a
+    # letter on, and no other row is built
+    appended = {v for s, w in zip(trace.s_letters, trace.nu_words) for v, _ in (s, *w)}
+    filled = set(graph.nonneighbors._rows)
+    assert filled and filled <= appended and len(appended) < 100
 
 
 def test_debug_json_renders_the_largest_pareto_value():
