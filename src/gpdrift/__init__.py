@@ -5,7 +5,6 @@ from .drift import (
     DriftBound,
     PivotIncrementDistribution,
     SmallCliquesError,
-    chernoff_tail_bound,
     drift_lower_bound,
 )
 from .experiments import (
@@ -47,10 +46,13 @@ from .piling import (
     from_strings,
     init,
     invert,
+    is_local_geodesic,
     is_prefix,
     linearize,
     piling_of_word,
+    pivotal_times_bruteforce,
     render,
+    replay_pilings,
     term,
     validate,
 )
@@ -59,9 +61,7 @@ from .walk import (
     ParetoLetter,
     WalkTrace,
     WordChoice,
-    is_local_geodesic,
     pivot_replace,
-    pivotal_times_bruteforce,
     run_walk,
     sample_mu,
     strong_choice_vertices,

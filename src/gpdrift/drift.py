@@ -69,15 +69,6 @@ class PivotIncrementDistribution(Frozen):
             raise ValueError("tail is defined for j >= 1")
         return (self.b + self.c) / self.d * self.ratio ** (j - 1)
 
-    def pmf(self, u: int) -> float:
-        if u == 1:
-            return self.p_up
-        if u <= -1:
-            j = -u
-            nxt = self.tail(j + 1)
-            return self.tail(j) - nxt
-        return 0.0
-
     def at_least(self, k: int) -> float:
         """P(U >= k), exact from ``p_up`` and ``tail``: U is never 0 or above 1."""
         if k > 1:
@@ -190,19 +181,3 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
         mgf_at_t_star=mgf_star,
         law=law,
     )
-
-
-def chernoff_tail_bound(rate: float, t: float, mgf_value: float, n: int) -> float:
-    """min(1, exp(t*rate*n) * mgf_value**n): the probability that n
-    independent increments sum to at most rate*n.
-
-    When ``rate`` is strictly below -ln(mgf_value)/(1+t) the result is
-    below exp(-rate*n); at the achieved optimum it equals it.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not 0.0 < mgf_value < 1.0:
-        raise ValueError("mgf_value must lie in (0, 1)")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return min(1.0, math.exp(n * (t * rate + math.log(mgf_value))))

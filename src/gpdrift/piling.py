@@ -16,8 +16,10 @@ string is kept apart in ``_tails``.  An append rebuilds only the string
 it touches, so pilings replayed from one walk share every other string
 tuple, and ``is_prefix`` settles those on identity.  The walk, pivot
 replacement and the debug dump fold their letters into the mutable
-kernel of ``walk``; pilings serve replays, the definition scan and the
-tests.  ``string()`` materializes the conventional letter sequence
+kernel of ``walk``.  Pilings serve the tests and the definition scan,
+which is here too: :func:`replay_pilings` replays a walk's pilings and
+:func:`pivotal_times_bruteforce` checks the pivotal-time definition on
+them.  ``string()`` materializes the conventional letter sequence
 (``None`` is the zero marker, ``(vertex, value)`` a nontrivial letter)
 for rendering, linearization, and invariant checks.
 
@@ -27,10 +29,13 @@ never mutates its inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .graphs import Graph
 from .groups import VertexGroup
+
+if TYPE_CHECKING:
+    from .walk import MuLetter, WalkTrace
 
 # A materialized letter: None is the zero marker, otherwise (vertex, value).
 Letter = Optional[tuple[int, object]]
@@ -297,3 +302,66 @@ def render(p: Piling, labels: Sequence[str] | None = None) -> str:
         or "ε"
         for i in range(p.d)
     )
+
+
+def replay_pilings(trace: WalkTrace, k: int | None = None) -> tuple[list[Piling], list[Piling]]:
+    """Replay the half-step and the full-step piling of each of the
+    first k steps of a walk trace (of every step when k is None)."""
+    half: list[Piling] = []
+    full: list[Piling] = []
+    graph, groups = trace.graph, trace.groups
+    f = empty_piling(graph.vertex_count)
+    for s, w in zip(trace.s_letters[:k], trace.nu_words[:k]):
+        f = append(f, *s, graph, groups)
+        half.append(f)
+        for letter in w:
+            f = append(f, *letter, graph, groups)
+        full.append(f)
+    return half, full
+
+
+def is_local_geodesic(
+    f_prev: Piling,
+    s: MuLetter,
+    w: Word,
+    graph: Graph,
+    groups: Sequence[VertexGroup],
+) -> bool:
+    """The letter leaves the terminal clique and the word cannot eat it.
+
+    Both syllable-length increases are strict under this condition: the
+    half step grows past the previous full step, and the following word
+    grows past the half step.
+    """
+    vertex, value = s
+    if f_prev.ends_nontrivial(vertex):
+        return False
+    half = append(f_prev, vertex, value, graph, groups)
+    w_init = init(piling_of_word(w, graph, groups))
+    return not any(half.ends_nontrivial(u) for u in w_init)
+
+
+def pivotal_times_bruteforce(trace: WalkTrace, n: int | None = None) -> list[int]:
+    """Direct check of the pivotal-time definition against replayed pilings.
+
+    Quadratic; this is the oracle the incremental stack is tested against.
+    """
+    if n is None:
+        n = trace.n
+    if n > trace.n:
+        raise ValueError("horizon exceeds the trace length")
+    half, full = replay_pilings(trace)
+    before = [empty_piling(trace.graph.vertex_count)] + full
+    out = []
+    for k in range(1, n):
+        if not is_local_geodesic(
+            before[k - 1], trace.s_letters[k - 1], trace.nu_words[k - 1], trace.graph, trace.groups
+        ):
+            continue
+        anchor = half[k - 1]
+        if is_prefix(anchor, full[k - 1]) and all(
+            is_prefix(anchor, half[j]) and is_prefix(anchor, full[j])
+            for j in range(k, n)
+        ):
+            out.append(k)
+    return out

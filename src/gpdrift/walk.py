@@ -7,11 +7,11 @@ syllable length and candidate count after each step, and the stack of
 candidate pivotal times: a time k stays on the stack while its half-step
 piling remains a prefix of every later half-step and full-step piling.  A
 time that falls off the stack never returns, because the prefix
-requirement quantifies over all intermediate pilings.  No piling is kept;
-the definition scan replays them from the letters and words, and the
-debug dump renders each step from a kernel replay.  A batch keeps less:
-:func:`walk_record` runs the same sampling loop but keeps only a
-fixed-size record of the walk.
+requirement quantifies over all intermediate pilings.  No piling is kept:
+:func:`piling.replay_pilings` replays them from the letters and words for
+the definition scan, and the debug dump renders each step from a kernel
+replay.  A batch keeps less: :func:`walk_record` runs the same sampling
+loop but keeps only a fixed-size record of the walk.
 
 Both walks fold their letters into a :class:`Kernel`, a mutable piling
 whose trailing zero runs are computed from counts, so a letter costs
@@ -58,15 +58,7 @@ from typing import Sequence
 
 from .graphs import Graph
 from .groups import VertexGroup
-from .piling import (
-    Piling,
-    Word,
-    append,
-    empty_piling,
-    init,
-    is_prefix,
-    piling_of_word,
-)
+from .piling import Word, append, is_prefix, piling_of_word  # all but Word: bench/tracer.py wraps them
 
 MuLetter = tuple[int, object]  # (vertex, nontrivial element)
 
@@ -326,7 +318,7 @@ class WalkTrace:
     ``active_counts[k-1]``, the surviving candidates among times 1..k (the
     inclusive count the step-increment experiments use).  ``kernel`` is the
     walk folded so far; the pilings are replayed on demand by
-    :meth:`pilings`.
+    :func:`piling.replay_pilings`.
     """
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
@@ -354,21 +346,6 @@ class WalkTrace:
     @property
     def n(self) -> int:
         return len(self.s_letters)
-
-    def pilings(self, k: int | None = None) -> tuple[list[Piling], list[Piling]]:
-        """Replay the half-step and the full-step piling of each of the
-        first k steps (of every step when k is None)."""
-        half: list[Piling] = []
-        full: list[Piling] = []
-        graph, groups = self.graph, self.groups
-        f = empty_piling(graph.vertex_count)
-        for s, w in zip(self.s_letters[:k], self.nu_words[:k]):
-            f = append(f, *s, graph, groups)
-            half.append(f)
-            for letter in w:
-                f = append(f, *letter, graph, groups)
-            full.append(f)
-        return half, full
 
     def extend(self, s: MuLetter, w: Word) -> None:
         """Fold one (letter, word) step in and update the pivotal stack.
@@ -417,27 +394,6 @@ class WalkTrace:
         return {"steps": steps, "pivotal_times": list(self.pivotal_times())}
 
 
-def is_local_geodesic(
-    f_prev: Piling,
-    s: MuLetter,
-    w: Word,
-    graph: Graph,
-    groups: Sequence[VertexGroup],
-) -> bool:
-    """The letter leaves the terminal clique and the word cannot eat it.
-
-    Both syllable-length increases are strict under this condition: the
-    half step grows past the previous full step, and the following word
-    grows past the half step.
-    """
-    vertex, value = s
-    if f_prev.ends_nontrivial(vertex):
-        return False
-    half = append(f_prev, vertex, value, graph, groups)
-    w_init = init(piling_of_word(w, graph, groups))
-    return not any(half.ends_nontrivial(u) for u in w_init)
-
-
 def strong_choice_vertices(
     f_prev: Kernel, w: Word, graph: Graph, groups: Sequence[VertexGroup]
 ) -> frozenset[int]:
@@ -451,32 +407,6 @@ def strong_choice_vertices(
     for u in w_init:
         blocked |= graph.neighbors[u]
     return frozenset(range(graph.vertex_count)) - blocked
-
-
-def pivotal_times_bruteforce(trace: WalkTrace, n: int | None = None) -> list[int]:
-    """Direct check of the pivotal-time definition against replayed pilings.
-
-    Quadratic; this is the oracle the incremental stack is tested against.
-    """
-    if n is None:
-        n = trace.n
-    if n > trace.n:
-        raise ValueError("horizon exceeds the trace length")
-    half, full = trace.pilings()
-    before = [empty_piling(trace.graph.vertex_count)] + full
-    out = []
-    for k in range(1, n):
-        if not is_local_geodesic(
-            before[k - 1], trace.s_letters[k - 1], trace.nu_words[k - 1], trace.graph, trace.groups
-        ):
-            continue
-        anchor = half[k - 1]
-        if is_prefix(anchor, full[k - 1]) and all(
-            is_prefix(anchor, half[j]) and is_prefix(anchor, full[j])
-            for j in range(k, n)
-        ):
-            out.append(k)
-    return out
 
 
 def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:

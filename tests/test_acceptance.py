@@ -33,6 +33,7 @@ from gpdrift.piling import (
     init,
     invert,
     piling_of_word,
+    pivotal_times_bruteforce,
     render,
     term,
 )
@@ -42,7 +43,6 @@ from gpdrift.walk import (
     WalkTrace,
     WordChoice,
     pivot_replace,
-    pivotal_times_bruteforce,
     run_walk,
     strong_choice_vertices,
 )

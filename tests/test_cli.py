@@ -288,6 +288,32 @@ def test_check_passes_on_cycle(tmp_path, capsys):
     assert float(statistic) > 0
 
 
+def test_failed_check_exits_4(tmp_path, capsys, monkeypatch):
+    # cli looks check_domination up at call time, so a forced failure
+    # reaches the exit code; the other checks and every CSV row still run
+    import gpdrift.cli as cli
+    from gpdrift.experiments import CheckReport
+
+    failing = CheckReport("increment_domination", -0.5, 0.0, False, "forced")
+    monkeypatch.setattr(cli, "check_domination", lambda *args: failing)
+    out_path = tmp_path / "checks.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "check",
+        "--family", "cycle", "--D", "30",
+        "--n", "20", "--trials", "60",
+        "--output", str(out_path),
+    )
+    assert code == 4
+    assert "increment_domination: FAIL" in out
+    lines = out_path.read_text().strip().split("\n")
+    assert len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "lower_tail_bound", "pivot_step_probability", "increment_domination"
+    ]
+    assert lines[3].endswith(",false")
+
+
 def test_check_lower_tail_passes_between_resolution_and_wilson_limit(tmp_path, capsys):
     # exp(-kappa n) = 0.0021 lies between 1/trials and the Wilson limit of an
     # empty tail (0.0054), and no walk lands in the tail.

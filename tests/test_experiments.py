@@ -35,6 +35,7 @@ from gpdrift.experiments import (
 import gpdrift.experiments as experiments
 from gpdrift.graphs import cycle_graph, edgeless_graph, graph_stats
 from gpdrift.groups import IntegerGroup, groups_from_spec, uniform_groups
+from gpdrift.piling import replay_pilings
 from gpdrift.walk import FixedWord, ParetoLetter, WalkTrace, WordChoice, run_walk, walk_record
 
 C17 = cycle_graph(17)
@@ -347,7 +348,7 @@ def test_walk_prefix_is_the_shorter_walk(nu):
         assert long.nu_words[:30] == short.nu_words
         assert long.active_counts[:30] == short.active_counts
         assert long.syllable_counts[:30] == short.syllable_counts
-        assert long.pilings(30) == short.pilings()
+        assert replay_pilings(long, 30) == replay_pilings(short)
 
 
 def test_batch_metrics_record_every_step():
@@ -613,11 +614,13 @@ def test_check_domination_detects_inflated_distribution():
 def _convolved_upper(counts, trials, dist, i):
     # P(A_n + U >= i) by brute force: every (a, u) pair, with the support of
     # U cut at the first depth whose tail falls below 1e-15
-    support = [1]
-    while dist.tail(len(support)) >= 1e-15:
-        support.append(-len(support))
+    masses = {1: dist.p_up}
+    j = 1
+    while dist.tail(j) >= 1e-15:
+        masses[-j] = dist.tail(j) - dist.tail(j + 1)
+        j += 1
     return sum(
-        k * dist.pmf(u) for a, k in counts.items() for u in support if a + u >= i
+        k * mass for a, k in counts.items() for u, mass in masses.items() if a + u >= i
     ) / trials
 
 

@@ -16,6 +16,7 @@ from gpdrift.piling import (
     linearize,
     piling_of_word,
     render,
+    replay_pilings,
     term,
     validate,
 )
@@ -190,7 +191,7 @@ def test_is_prefix_matches_tuple_definition():
                 if piling_of_word(w, graph, groups).syllables:
                     s = rng.randrange(graph.vertex_count)
                     trace.extend((s, groups[s].sample_nontrivial(rng)), w)
-            half, full = trace.pilings()
+            half, full = replay_pilings(trace)
             for x in half + full:
                 for y in half + full:
                     agree(x, y)

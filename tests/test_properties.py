@@ -14,8 +14,15 @@ from hypothesis import strategies as st
 
 from gpdrift.graphs import edgeless_graph, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup
-from gpdrift.piling import append, init, is_prefix, piling_of_word
-from gpdrift.walk import FixedWord, WalkTrace, WordChoice, pivotal_times_bruteforce, run_walk
+from gpdrift.piling import (
+    append,
+    init,
+    is_prefix,
+    piling_of_word,
+    pivotal_times_bruteforce,
+    replay_pilings,
+)
+from gpdrift.walk import FixedWord, WalkTrace, WordChoice, run_walk
 
 from oracles import MIXED6, S3, destroy_and_rebuild, naive_walk, random_graph, random_word
 
@@ -123,7 +130,7 @@ def test_incremental_stack_matches_bruteforce_at_every_horizon(case):
     trace = assert_three_way(graph, groups, steps)
     # the replayed pilings are the normal forms of the flattened step
     # prefixes and carry the stored counts
-    half, full = trace.pilings()
+    half, full = replay_pilings(trace)
     assert trace.syllable_counts == [p.syllables for p in full]
     letters_so_far = []
     for (s, w), h, f in zip(steps, half, full):

@@ -1,23 +1,34 @@
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from gpdrift import walk
-from gpdrift.graphs import complete_graph, cycle_graph, edgeless_graph, graph_stats, make_graph
+import gpdrift
+from gpdrift import piling, walk
+from gpdrift.graphs import Graph, complete_graph, cycle_graph, edgeless_graph, graph_stats, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup, uniform_groups
-from gpdrift.piling import append, init, is_prefix, piling_of_word, render, term
+from gpdrift.piling import (
+    append,
+    init,
+    is_local_geodesic,
+    is_prefix,
+    piling_of_word,
+    pivotal_times_bruteforce,
+    render,
+    replay_pilings,
+    term,
+)
 from gpdrift.walk import (
     FixedWord,
     ParetoLetter,
     WalkTrace,
     WordChoice,
     fold,
-    is_local_geodesic,
     pivot_replace,
-    pivotal_times_bruteforce,
     run_walk,
     sample_mu,
     strong_choice_vertices,
@@ -72,7 +83,7 @@ def test_determinism():
     assert t1.s_letters == t2.s_letters
     assert t1.nu_words == t2.nu_words
     assert t1.pivotal_times() == t2.pivotal_times()
-    assert t1.pilings() == t2.pilings()
+    assert replay_pilings(t1) == replay_pilings(t2)
 
 
 def test_free_product_no_cancellation_walk():
@@ -106,7 +117,7 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     # cancels s = a, so time 2 is pushed and popped while time 1 stays.
     steps = [((2, 1), ((1, 1),)), ((0, 1), ((1, 1), (0, -1)))]
     trace = WalkTrace.run(G3, Z3, steps)
-    assert not is_local_geodesic(trace.pilings()[1][0], *steps[1], G3, Z3)
+    assert not is_local_geodesic(replay_pilings(trace)[1][0], *steps[1], G3, Z3)
     assert trace.syllable_counts[-1] == 2
     assert [t for t, _ in trace.stack] == [1]
     assert trace.active_counts == [1, 1]
@@ -114,7 +125,7 @@ def test_multi_letter_word_eating_s_leaves_time_off_the_stack():
     assert pivotal_times_bruteforce(trace) == [1]
     # the same word after s = a^2 merges into it instead of cancelling
     trace = WalkTrace.run(G3, Z3, [steps[0], ((0, 2), steps[1][1])])
-    assert trace.pilings()[0][1].syllables == 3 and trace.syllable_counts[-1] == 3
+    assert replay_pilings(trace)[0][1].syllables == 3 and trace.syllable_counts[-1] == 3
     assert [t for t, _ in trace.stack] == [1]
 
 
@@ -152,7 +163,7 @@ def test_local_geodesic_growth():
 
 def test_pilings_replay_only_the_first_k_steps(monkeypatch):
     trace = small_walk(steps=12, seed=3, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
-    half, full = trace.pilings()
+    half, full = replay_pilings(trace)
     calls = 0
 
     def counting_append(*args):
@@ -160,10 +171,10 @@ def test_pilings_replay_only_the_first_k_steps(monkeypatch):
         calls += 1
         return append(*args)
 
-    monkeypatch.setattr(walk, "append", counting_append)
+    monkeypatch.setattr(piling, "append", counting_append)
     for k in range(trace.n + 1):
         calls = 0
-        replayed = trace.pilings(k)
+        replayed = replay_pilings(trace, k)
         assert calls == sum(1 + len(w) for w in trace.nu_words[:k])
         assert replayed == (half[:k], full[:k])
 
@@ -171,7 +182,7 @@ def test_pilings_replay_only_the_first_k_steps(monkeypatch):
 def test_stack_nesting_invariant():
     for seed in range(30):
         trace = small_walk(steps=40, seed=seed, nu=WordChoice([((0, 1),), ((2, 1), (4, 1))]))
-        half = trace.pilings()[0]
+        half = replay_pilings(trace)[0]
         for (lower, lower_clock), (upper, upper_clock) in zip(trace.stack, trace.stack[1:]):
             assert lower < upper and lower_clock < upper_clock
             assert is_prefix(half[lower - 1], half[upper - 1])
@@ -439,7 +450,7 @@ def test_pivot_replace_identity():
                 continue
             again = pivot_replace(trace, k, s)
             assert again.pivotal_times() == trace.pivotal_times()
-            assert again.pilings() == trace.pilings()
+            assert replay_pilings(again) == replay_pilings(trace)
             break
 
 
@@ -502,7 +513,7 @@ def test_chain_inequality_and_pivot_growth():
         assert trace.active_counts[-1] <= syl
         # the strict chain along pivotal times
         prev = 0
-        half, full = trace.pilings()
+        half, full = replay_pilings(trace)
         for k in trace.pivotal_times():
             f_before = full[k - 2].syllables if k > 1 else 0
             h = half[k - 1].syllables
@@ -553,7 +564,7 @@ def test_debug_json_never_builds_the_quadratic_table():
     doc = trace.to_debug_json()
     assert len(doc["steps"]) == 20
     assert "nonneighbors" not in graph.__dict__
-    half, full = trace.pilings()
+    half, full = replay_pilings(trace)
     assert [(step["half"], step["full"]) for step in doc["steps"]] == [
         (render(h, graph.labels), render(f, graph.labels)) for h, f in zip(half, full)
     ]
@@ -655,7 +666,8 @@ def test_pareto_alpha_must_be_finite_and_not_tiny():
 def test_walks_never_replay_pilings(graph, groups, nu, steps, seeds, monkeypatch):
     # every word, also one that takes letters off and puts them back, is
     # decided by the stamps alone: no piling is built and no prefix is
-    # checked while the walk runs
+    # checked while the walk runs, neither through the names walk imports
+    # nor through those the piling module calls itself
     calls = {"append": 0, "is_prefix": 0}
 
     def counting(name, fn):
@@ -664,12 +676,34 @@ def test_walks_never_replay_pilings(graph, groups, nu, steps, seeds, monkeypatch
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(walk, "append", counting("append", append))
-    monkeypatch.setattr(walk, "is_prefix", counting("is_prefix", is_prefix))
+    for module in (walk, piling):
+        monkeypatch.setattr(module, "append", counting("append", append))
+        monkeypatch.setattr(module, "is_prefix", counting("is_prefix", is_prefix))
     for seed in range(seeds):
         trace = run_walk(graph, groups, nu, steps, seed)
         assert trace.active_counts[-1] > 0
     assert calls == {"append": 0, "is_prefix": 0}
+
+
+def test_tracer_pins_install_and_restore():
+    # bench/tracer.py wraps names that production code no longer calls
+    # (walk's append, is_prefix and piling_of_word); installing fails if one
+    # is gone, and uninstalling must put every original back
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cached = Graph.__dict__["nonneighbors"]
+    t = tracer.Tracer()
+    try:
+        t.install(gpdrift)
+        assert walk.append is not piling.append
+    finally:
+        t.uninstall()
+    assert walk.append is piling.append
+    assert walk.is_prefix is piling.is_prefix
+    assert walk.piling_of_word is piling.piling_of_word
+    assert Graph.__dict__["nonneighbors"] is cached
 
 
 def test_pivot_replacement_never_builds_the_quadratic_table():
