@@ -63,7 +63,6 @@ class TrialMetrics(NamedTuple):
 
     trial: int
     steps: int
-    pivotal_count: int  # strictly-before-the-horizon count
     syllable_pair: tuple[int, int]  # syllable length
     active_pair: tuple[int, int]  # surviving candidates
     gain_pair: tuple[int, int]  # steps that created a surviving candidate
@@ -72,6 +71,13 @@ class TrialMetrics(NamedTuple):
     def syllables(self) -> int:
         """Syllable length at the batch horizon."""
         return self.syllable_pair[1]
+
+    @property
+    def pivotal_count(self) -> int:
+        """Pivotal times strictly before the horizon, the CSV's ``A_n``:
+        ``active_at(steps)`` less time ``steps`` itself when it survived
+        its step, which is exactly when the gain count rose at that step."""
+        return self.active_pair[1] - (self.gain_pair[1] - self.gain_pair[0])
 
     def _at(self, pair: tuple[int, int], n: int) -> int:
         if n < 0 or n not in (self.steps - 1, self.steps):

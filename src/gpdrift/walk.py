@@ -2,22 +2,23 @@
 
 A walk of n steps multiplies alternately by a letter s_k drawn uniformly
 over the vertex groups and a word w_k from an arbitrary sampler that never
-produces the identity.  The trace stores the letters and words, the
-syllable length and candidate count after each step, and the stack of
-candidate pivotal times: a time k stays on the stack while its half-step
-piling remains a prefix of every later half-step and full-step piling.  A
-time that falls off the stack never returns, because the prefix
-requirement quantifies over all intermediate pilings.  No piling is kept:
-:func:`piling.replay_pilings` replays them from the letters and words for
-the definition scan, and the debug dump renders each step from a kernel
-replay.  A batch keeps less: :func:`walk_record` runs the same sampling
-loop but keeps only a fixed-size record of the walk.
+produces the identity.  One walk's state is a :class:`Kernel`: a mutable
+piling whose trailing zero runs are computed from counts, so a letter
+costs O(deg), and the stack of candidate pivotal times.  A time k stays on
+the stack while its half-step piling remains a prefix of every later
+half-step and full-step piling.  A time that falls off the stack never
+returns, because the prefix requirement quantifies over all intermediate
+pilings; ``Kernel.step`` holds the stack rule below.
 
-Both walks fold their letters into a :class:`Kernel`, a mutable piling
-whose trailing zero runs are computed from counts, so a letter costs
-O(deg); ``Kernel.step`` holds the stack rule below.  Pivot replacement
-reads the strong choice off the kernels of the prefix and of the word,
-through their terminal and initial cliques, and builds no piling.
+A :class:`WalkTrace` is a kernel that logs: it also keeps the letters and
+words and the syllable length and candidate count after each step.  No
+piling is kept: :func:`piling.replay_pilings` replays them from the
+letters and words for the definition scan, and the debug dump renders
+each step from a kernel replay.  A batch keeps less: :func:`walk_record`
+runs the same sampling loop on a bare kernel and keeps only a fixed-size
+record of the walk.  Pivot replacement reads the strong choice off the
+kernels of the prefix and of the word, through their terminal and initial
+cliques, and builds no piling.
 Every letter on a string carries a clock stamp, handed out at its birth,
 and the stack holds ``(time, clock)`` pairs: the clock of time k is the
 stamp of s_k, so the half step of k (its anchor) holds exactly the
@@ -173,10 +174,11 @@ class Kernel:
     letter at a vertex that is neither v nor adjacent to it, so its
     trailing run is ``live - cnt[v] - sum(cnt[u] for u ~ v) - zsum[v]``
     and is never stored; a letter touches only its own string and reads
-    its neighbours' counts.  ``clock`` is the last stamp handed out.
+    its neighbours' counts.  ``clock`` is the last stamp handed out, and
+    ``stack`` holds the pivotal candidates as ``(time, clock)`` pairs.
     """
 
-    __slots__ = ("neighbors", "groups", "strings", "cnt", "zsum", "live", "clock")
+    __slots__ = ("neighbors", "groups", "strings", "cnt", "zsum", "live", "clock", "stack")
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
         self.neighbors = graph.neighbors
@@ -186,6 +188,7 @@ class Kernel:
         self.zsum = [0] * graph.vertex_count
         self.live = 0  # letters on all strings: the syllable length
         self.clock = 0
+        self.stack: list[tuple[int, int]] = []
 
     def append(self, v: int, value) -> int:
         """Multiply on the right by one nontrivial letter.  Returns the
@@ -273,11 +276,12 @@ class Kernel:
             raise ValueError("nu sampler produced a word equal to the identity")
         return sigma
 
-    def step(self, stack: list[tuple[int, int]], k: int, v: int, value, w: tuple) -> None:
+    def step(self, k: int, v: int, value, w: tuple) -> None:
         """Fold step k, the letter (v, value) and then the word w, and
-        update the pivotal stack of ``(time, clock)`` pairs: push k when
-        the letter leaves the terminal clique, and pop every anchor that a
-        letter or the word broke (module docstring)."""
+        update the pivotal stack: push k when the letter leaves the
+        terminal clique, and pop every anchor that a letter or the word
+        broke (module docstring)."""
+        stack = self.stack
         before = self.clock
         stamp = self.append(v, value)
         if stamp > before:
@@ -309,27 +313,24 @@ def _require_nontrivial(letters, groups: Sequence[VertexGroup]) -> None:
             raise ValueError("letters must be nontrivial vertex-group elements")
 
 
-class WalkTrace:
-    """One walk's letters and words, its counts, and the live pivotal stack.
+class WalkTrace(Kernel):
+    """A kernel that logs: one walk's letters and words, and its counts.
 
-    Stored: ``s_letters`` and ``nu_words``; ``stack``, the surviving
-    candidates as ``(time, clock)`` pairs; and per step k,
-    ``syllable_counts[k-1]``, its syllable length, and
-    ``active_counts[k-1]``, the surviving candidates among times 1..k (the
-    inclusive count the step-increment experiments use).  ``kernel`` is the
-    walk folded so far; the pilings are replayed on demand by
-    :func:`piling.replay_pilings`.
+    ``s_letters`` and ``nu_words`` hold the steps, and per step k
+    ``syllable_counts[k-1]`` holds its syllable length and
+    ``active_counts[k-1]`` the surviving candidates among times 1..k (the
+    inclusive count the step-increment experiments use).  The folded walk
+    and its ``stack`` are the kernel's own; the pilings are replayed on
+    demand by :func:`piling.replay_pilings`.
     """
 
     def __init__(self, graph: Graph, groups: Sequence[VertexGroup]):
+        super().__init__(graph, tuple(groups))
         self.graph = graph
-        self.groups = tuple(groups)
         self.s_letters: list[MuLetter] = []
         self.nu_words: list[tuple] = []
-        self.stack: list[tuple[int, int]] = []
         self.syllable_counts: list[int] = []
         self.active_counts: list[int] = []
-        self.kernel = Kernel(graph, self.groups)
 
     @classmethod
     def run(
@@ -359,15 +360,15 @@ class WalkTrace:
         if not w:
             raise ValueError("nu sampler produced an empty word")
         _require_nontrivial((s, *w), self.groups)
-        self._step(self.stack, self.n + 1, *s, w)
+        self.step(self.n + 1, *s, w)
 
-    def _step(self, stack: list[tuple[int, int]], k: int, v: int, value, w: tuple) -> None:
-        """``Kernel.step`` on a checked step, keeping its letters and counts."""
+    def step(self, k: int, v: int, value, w: tuple) -> None:
+        """``Kernel.step`` on a checked step, logging its letter, word and counts."""
         self.s_letters.append((v, value))
         self.nu_words.append(w)
-        self.kernel.step(stack, k, v, value, w)
-        self.syllable_counts.append(self.kernel.live)
-        self.active_counts.append(len(stack))
+        Kernel.step(self, k, v, value, w)
+        self.syllable_counts.append(self.live)
+        self.active_counts.append(len(self.stack))
 
     def pivotal_times(self) -> tuple[int, ...]:
         """Times pivotal with respect to the walk length (strictly before it)."""
@@ -420,20 +421,20 @@ def pivot_replace(trace: WalkTrace, k: int, s_new: MuLetter) -> WalkTrace:
     steps = list(zip(trace.s_letters, trace.nu_words))
     rebuilt = WalkTrace.run(trace.graph, trace.groups, steps[: k - 1])
     w = steps[k - 1][1]
-    if s_new[0] not in strong_choice_vertices(rebuilt.kernel, w, trace.graph, trace.groups):
+    if s_new[0] not in strong_choice_vertices(rebuilt, w, trace.graph, trace.groups):
         raise ValueError("replacement letter fails the strong pivot condition")
     for s, word in [(s_new, w)] + steps[k:]:
         rebuilt.extend(s, word)
     return rebuilt
 
 
-def _sample(graph: Graph, nu, steps: int, seed: int, kernel: Kernel, stack: list, step) -> tuple:
+def _sample(graph: Graph, nu, steps: int, seed: int, walk: Kernel) -> tuple:
     """Both walks' loop: draw steps 1..steps in a fixed order (the vertex
     as ``randrange(D)``, its value, the nu word), check each (a word tuple
-    returned again is not checked again) and fold it by ``step``.  Returns
+    returned again is not checked again) and fold it by ``walk.step``.  Returns
     ``(live, depth, gains)`` before the last step, and ``gains`` after it."""
     rng = Random(seed)
-    groups = kernel.groups
+    groups, stack, step = walk.groups, walk.stack, walk.step
     getrandbits, d, sample = rng.getrandbits, graph.vertex_count, nu.sample
     bits = d.bit_length()
     if steps > 0 and not bits:
@@ -443,7 +444,7 @@ def _sample(graph: Graph, nu, steps: int, seed: int, kernel: Kernel, stack: list
     before = (0, 0, 0)
     for k in range(1, steps + 1):
         if k == steps:
-            before = (kernel.live, len(stack), gains)
+            before = (walk.live, len(stack), gains)
         # rng.randrange(d)
         v = getrandbits(bits)
         while v >= d:
@@ -459,7 +460,7 @@ def _sample(graph: Graph, nu, steps: int, seed: int, kernel: Kernel, stack: list
             checked = w
         elif group.is_identity(value):
             raise ValueError("letters must be nontrivial vertex-group elements")
-        step(stack, k, v, value, w)
+        step(k, v, value, w)
         if stack and stack[-1][0] == k:
             gains += 1
     return before, gains
@@ -469,29 +470,21 @@ def run_walk(graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: 
     """Sample and fold a walk through :func:`_sample`; deterministic in the
     seed.  ``nu`` is any object with ``.sample(rng, graph, groups) -> Word``."""
     trace = WalkTrace(graph, groups)
-    _sample(graph, nu, steps, seed, trace.kernel, trace.stack, trace._step)
+    _sample(graph, nu, steps, seed, trace)
     return trace
 
 
 def walk_record(
     graph: Graph, groups: Sequence[VertexGroup], nu, steps: int, seed: int
-) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The walk :func:`run_walk` samples, through the same loop, reduced
     as it runs to what a batch keeps of it: no letters, words or per-step
     counts are kept.
 
-    Returns ``(pivotal_count, syllable_pair, active_pair, gain_pair)``:
-    the candidates strictly before the horizon still on the stack, then
-    the syllable length, the surviving candidates among times 1..k and the
-    steps among 1..k whose time survived its step, each as a pair of the
-    values after step k = steps - 1 and k = steps (step 0 reads 0)."""
+    Returns ``(syllable_pair, active_pair, gain_pair)``: the syllable
+    length, the surviving candidates among times 1..k and the steps among
+    1..k whose time survived its step, each as a pair of the values after
+    step k = steps - 1 and k = steps (step 0 reads 0)."""
     kernel = Kernel(graph, tuple(groups))
-    stack: list[tuple[int, int]] = []
-    before, gains = _sample(graph, nu, steps, seed, kernel, stack, kernel.step)
-    last = 1 if stack and stack[-1][0] == steps else 0
-    return (
-        len(stack) - last,
-        (before[0], kernel.live),
-        (before[1], len(stack)),
-        (before[2], gains),
-    )
+    before, gains = _sample(graph, nu, steps, seed, kernel)
+    return (before[0], kernel.live), (before[1], len(kernel.stack)), (before[2], gains)

@@ -237,7 +237,7 @@ def test_criterion_5_pivot_replacement_invariance():
             continue
         k = times[rng.randrange(len(times))]
         steps = list(zip(trace.s_letters, trace.nu_words))
-        f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+        f_prev = WalkTrace.run(graph, groups, steps[: k - 1])
         options = strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups)
         if not options:
             continue

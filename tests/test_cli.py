@@ -495,6 +495,59 @@ def test_pareto_alpha_must_be_finite(capsys):
         assert code == 2 and "alpha must be a finite number" in err
 
 
+# Inputs refused with exit 2 and one error line: (argv, edge-list file
+# g.txt, GPDRIFT_WORKERS, the error).
+SIM17 = "simulate --family cycle --D 17 --n 3 --trials 2"
+REFUSED = {
+    "family without D": ("stats --family cycle", "", "1", "--family needs --D"),
+    "bad exponent": (f"{SIM17} --nu fixed:v0^x", "", "1", "bad exponent in letter 'v0^x'"),
+    "empty word": (f"{SIM17} --nu fixed:,", "", "1", "empty word"),
+    "bad pareto": (f"{SIM17} --nu pareto:abc", "", "1", "bad pareto exponent 'abc'"),
+    "unknown nu": (
+        f"{SIM17} --nu bogus:1", "", "1", "unknown nu spec 'bogus:1' (fixed:/list:/pareto:)"
+    ),
+    "zero steps": ("simulate --family cycle --D 17 --n 0", "", "1", "--n must be positive"),
+    "zero trials": (
+        "simulate --family cycle --D 17 --trials 0", "", "1", "--trials must be positive"
+    ),
+    "edge not an integer": (
+        "stats --graph g.txt", "0 x\n", "1", "line 1: expected integers, got '0 x'"
+    ),
+    "negative edge": (
+        "stats --graph g.txt", "-1 2\n", "1", "line 1: vertex indices must be non-negative"
+    ),
+    "comments only": (
+        "stats --graph g.txt", "# none\n\n  # here\n", "1",
+        "empty edge list; use the JSON form for edgeless graphs",
+    ),
+    "workers not an integer": (SIM17, "", "abc", "GPDRIFT_WORKERS must be an integer, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    argv, edges, workers, message = REFUSED[case]
+    (tmp_path / "g.txt").write_text(edges)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GPDRIFT_WORKERS", workers)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert "Traceback" not in err
+
+
+def test_bare_label_is_the_first_power(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for nu in ("fixed:v1", "fixed:v1^1"):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--family", "cycle", "--D", "17", "--n", "20", "--trials", "30",
+            "--nu", nu,
+        )
+        assert code == 0
+        runs.append((out, (tmp_path / "trials.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_graph_duplicate_labels_exit_2(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"vertices": ["a", "a", "b"], "edges": [[0, 2]]}))

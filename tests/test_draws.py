@@ -145,4 +145,4 @@ def test_no_vertex_to_draw_raises_instead_of_looping():
         ParetoLetter(1.1).sample(Random(0), empty, ())
     with pytest.raises(ValueError, match="at least one vertex"):
         walk_record(empty, (), FixedWord(((0, 1),)), 1, 0)
-    assert walk_record(empty, (), FixedWord(((0, 1),)), 0, 0) == (0, (0, 0), (0, 0), (0, 0))
+    assert walk_record(empty, (), FixedWord(((0, 1),)), 0, 0) == ((0, 0), (0, 0), (0, 0))

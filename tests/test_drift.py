@@ -78,6 +78,8 @@ def test_distribution_tail_and_pmf_when_b_is_zero():
         assert dist.p_up == (d - c) / d
         for j in range(2, 8):
             assert dist.tail(j) == 0.0 and dist.tail(j) - dist.tail(j + 1) == 0.0
+        with pytest.raises(ValueError, match="^tail is defined for j >= 1$"):
+            dist.tail(0)
 
 
 def test_distribution_requires_domain():

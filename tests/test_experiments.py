@@ -361,6 +361,10 @@ def test_batch_metrics_record_every_step():
         assert m.syllables == trace.syllable_counts[-1]
         assert m.syllable_pair == tuple(trace.syllable_counts[-2:])
         assert m.active_pair == tuple(trace.active_counts[-2:])
+        assert m.pivotal_count == len(trace.pivotal_times())
+        active = [0] + trace.active_counts
+        rises = [a > b for b, a in zip(active, active[1:])]
+        assert m.gain_pair == (sum(rises[:-1]), sum(rises))
 
 
 @dataclass(frozen=True)
@@ -523,7 +527,7 @@ def test_check_lower_tail_one_step():
 def _flat_metrics(trials: int, n: int, tail_hits: int) -> list[TrialMetrics]:
     # Syllable length n after step n, except 0 in the first tail_hits trials.
     return [
-        TrialMetrics(i, n, 0, (1, 0 if i < tail_hits else n), (0, 0), (0, 0))
+        TrialMetrics(i, n, (1, 0 if i < tail_hits else n), (0, 0), (0, 0))
         for i in range(trials)
     ]
 

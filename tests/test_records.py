@@ -68,7 +68,7 @@ def test_import_loads_no_deferred_module():
 
 
 def _metrics():
-    return TrialMetrics(3, 10, 4, (8, 9), (5, 6), (5, 5))
+    return TrialMetrics(3, 10, (8, 9), (5, 6), (5, 5))
 
 
 RECORDS = {
@@ -86,7 +86,7 @@ RECORDS = {
     ),
     "TrialMetrics": (
         _metrics(),
-        ("trial", "steps", "pivotal_count", "syllable_pair", "active_pair", "gain_pair"),
+        ("trial", "steps", "syllable_pair", "active_pair", "gain_pair"),
     ),
     "DriftEstimate": (DriftEstimate(1.5, None), ("mean", "stderr")),
     "CheckReport": (
@@ -125,6 +125,7 @@ def test_trial_metrics_pickle_round_trip():
     again = pickle.loads(pickle.dumps(m, pickle.HIGHEST_PROTOCOL))
     assert type(again) is TrialMetrics and again == m
     assert again.syllables == 9 and again.active_at(9) == 5 and again.gains_through(10) == 5
+    assert again.pivotal_count == 6  # no gain at step 10, so time 10 is not on the stack
 
 
 def test_graph_equality_and_hashing():
@@ -141,6 +142,10 @@ def test_graph_equality_and_hashing():
     assert tuple(a.nonneighbors) == ((2,), (2,), (0, 1))
     assert "nonneighbors" in a.__dict__  # the cached rows are still stored
     assert a == b
+    with pytest.raises(TypeError, match="^Graph takes 2 values, got 1$"):
+        Graph(("a",))
+    with pytest.raises(TypeError, match="^IntegerGroup takes 0 values, got 1$"):
+        IntegerGroup(5)
 
 
 def test_groups_equality_and_hashing():

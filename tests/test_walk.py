@@ -9,6 +9,7 @@ import pytest
 
 import gpdrift
 from gpdrift import piling, walk
+from gpdrift.experiments import TrialMetrics
 from gpdrift.graphs import Graph, complete_graph, cycle_graph, edgeless_graph, graph_stats, make_graph
 from gpdrift.groups import CyclicGroup, IntegerGroup, uniform_groups
 from gpdrift.piling import (
@@ -75,7 +76,7 @@ def test_zero_step_walk():
     trace = small_walk(steps=0)
     assert trace.n == 0
     assert trace.pivotal_times() == ()
-    assert trace.kernel.live == 0 and trace.syllable_counts == []
+    assert trace.live == 0 and trace.syllable_counts == []
 
 
 def test_determinism():
@@ -222,6 +223,8 @@ def test_incremental_matches_bruteforce_random_graphs():
         for m in (1, 7, 19, trace.n):
             prefix = WalkTrace.run(graph, groups, steps[:m])
             assert list(prefix.pivotal_times()) == pivotal_times_bruteforce(trace, m)
+        with pytest.raises(ValueError, match="^horizon exceeds the trace length$"):
+            pivotal_times_bruteforce(trace, trace.n + 1)
 
 
 def test_identity_nu_word_rejected():
@@ -244,7 +247,7 @@ def _record_of(trace: WalkTrace) -> tuple:
     for k in range(1, len(active)):
         gains.append(gains[-1] + (active[k] >= active[k - 1] + 1))
     pair = lambda xs: (xs[-2] if len(xs) > 1 else 0, xs[-1])
-    return len(trace.pivotal_times()), pair(syllables), pair(active), pair(gains)
+    return pair(syllables), pair(active), pair(gains)
 
 
 def _outcome(walk_fn, *args):
@@ -281,7 +284,11 @@ def test_walk_record_matches_the_trace():
                 traced = _outcome(run_walk, graph, groups, nu, steps, seed)
                 expected = traced if isinstance(traced, str) else _record_of(traced)
                 assert _outcome(walk_record, graph, groups, nu, steps, seed) == expected
-                errors += isinstance(traced, str)
+                if isinstance(traced, str):
+                    errors += 1
+                else:  # the CSV's A_n, read off the pairs, is the trace's count
+                    pivotal = TrialMetrics(0, steps, *expected).pivotal_count
+                    assert pivotal == len(traced.pivotal_times())
     assert errors  # some random words are the identity
 
 
@@ -309,6 +316,10 @@ def test_empty_nu_word_rejected():
         FixedWord(())
     with pytest.raises(ValueError):
         WordChoice([])
+    with pytest.raises(ValueError, match="^nu words must be nonempty$"):
+        WordChoice([((0, 1),), ()])
+    with pytest.raises(ValueError, match="^nu sampler produced an empty word$"):
+        WalkTrace(cycle_graph(5), uniform_groups(5)).extend((0, 1), ())
     with pytest.raises(ValueError):
         ParetoLetter(0.0)
 
@@ -386,7 +397,7 @@ def test_strong_choice_always_gains():
             w = tuple(random_word(graph, groups, rng.randrange(1, 4), rng))
             if not fold(w, graph, groups).live:
                 continue  # an identity word is no step
-            strong = s[0] in strong_choice_vertices(trace.kernel, w, graph, groups)
+            strong = s[0] in strong_choice_vertices(trace, w, graph, groups)
             trace.extend(s, w)
             if strong:
                 assert trace.stack and trace.stack[-1][0] == trace.n
@@ -445,7 +456,7 @@ def test_pivot_replace_identity():
         steps = list(zip(trace.s_letters, trace.nu_words))
         for k in trace.pivotal_times():
             s = trace.s_letters[k - 1]
-            f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+            f_prev = WalkTrace.run(graph, groups, steps[: k - 1])
             if s[0] not in strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups):
                 continue
             again = pivot_replace(trace, k, s)
@@ -466,7 +477,7 @@ def test_pivot_replace_preserves_pivotal_times():
         steps = list(zip(trace.s_letters, trace.nu_words))
         options = []
         for k in trace.pivotal_times():
-            f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+            f_prev = WalkTrace.run(graph, groups, steps[: k - 1])
             vs = strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups)
             if vs:
                 options.append((k, vs))
@@ -714,7 +725,7 @@ def test_pivot_replacement_never_builds_the_quadratic_table():
     trace = run_walk(graph, groups, ParetoLetter(1.1), 200, 7)
     steps = list(zip(trace.s_letters, trace.nu_words))
     k = trace.pivotal_times()[len(trace.pivotal_times()) // 2]
-    f_prev = WalkTrace.run(graph, groups, steps[: k - 1]).kernel
+    f_prev = WalkTrace.run(graph, groups, steps[: k - 1])
     v = min(strong_choice_vertices(f_prev, trace.nu_words[k - 1], graph, groups))
     swapped = pivot_replace(trace, k, (v, 1))
     assert swapped.pivotal_times() == trace.pivotal_times()
