@@ -63,6 +63,18 @@ class PivotIncrementDistribution(Frozen):
     def ratio(self) -> float:
         return self.b / (self.d - self.b - self.c)
 
+    @cached_property
+    def mgf_terms(self) -> tuple[float, float, float]:
+        """``(p, qr, r)`` of the closed form ``p/x + qr*x/(1 - r*x)``, x = e^t.
+
+        ``qr`` is ``(b+c)/d * (1 - r)``, the float that the written-out
+        ``q * (1 - r) * x`` computes before it multiplies by x.  ``mgf`` and
+        the rate in ``drift_lower_bound`` both read these, so the two
+        evaluate the same floats.
+        """
+        r = self.ratio
+        return self.p_up, (self.b + self.c) / self.d * (1.0 - r), r
+
     def tail(self, j: int) -> float:
         """P(U <= -j) for j >= 1."""
         if j < 1:
@@ -78,7 +90,9 @@ class PivotIncrementDistribution(Frozen):
         return 1.0 - self.tail(1 - k)
 
     def mean(self) -> Fraction:
-        """Exact mean.
+        """Exact mean, p_up - ((b+c)/d) / (1 - r), in factored form:
+
+            (d-b-c)(d-3b-2c) / (d (d-2b-c)).
 
         Positive exactly when d > 3b + 2c; the boundary case is an exact zero,
         which is why this stays in rational arithmetic.
@@ -86,17 +100,18 @@ class PivotIncrementDistribution(Frozen):
         from fractions import Fraction  # only here, so importing gpdrift skips it
 
         b, c, d = self.b, self.c, self.d
-        return Fraction(d - b - c, d) - Fraction(b + c, d) * Fraction(d - b - c, d - 2 * b - c)
+        return Fraction((d - b - c) * (d - 3 * b - 2 * c), d * (d - 2 * b - c))
 
     def mgf(self, t: float) -> float:
         """E[exp(-t U)] in closed form, from summing the geometric tail."""
         if t < 0:
             raise ValueError("t must be nonnegative")
         x = math.exp(t)
-        p, q, r = self.p_up, (self.b + self.c) / self.d, self.ratio
-        if r * x >= 1.0:
+        p, qr, r = self.mgf_terms
+        rx = r * x
+        if rx >= 1.0:
             raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
-        return p / x + q * (1.0 - r) * x / (1.0 - r * x)
+        return p / x + qr * x / (1.0 - rx)
 
     def t_max(self) -> float:
         """Right end of the search window for the rate function.
@@ -158,22 +173,36 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     with h(0) = 0, so each set {f >= L} = {h(t) - L (1 + t) >= 0} is an
     interval.  The rate reads -inf where h <= 0, which keeps this, as that
     set is an interval reaching the window's right end.
+
+    The rate inlines ``law.mgf``: it reads the same ``mgf_terms``, makes the
+    same float operations in the same order and raises the same errors, so
+    the search visits the same points and returns the same floats.  It must
+    stay so; ``test_drift_bound_is_bit_identical_to_reference`` compares
+    kappa, t_star and the moment with ``==`` against a copy of the
+    optimizer that calls ``mgf`` itself.
     """
     if not GraphStats(d, c, b).small_cliques:
         raise SmallCliquesError(
             f"small-cliques condition fails: D={d} is not greater than 3B+2C={3 * b + 2 * c}"
         )
     law = PivotIncrementDistribution(b, c, d)
-    mgf = law.mgf
+    p, qr, r = law.mgf_terms
+    exp, log = math.exp, math.log
 
     def rate(t: float) -> float:
-        m = mgf(t)
-        return -math.inf if m >= 1.0 else -math.log(m) / (1.0 + t)
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        x = exp(t)
+        rx = r * x
+        if rx >= 1.0:
+            raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
+        m = p / x + qr * x / (1.0 - rx)
+        return -math.inf if m >= 1.0 else -log(m) / (1.0 + t)
 
     t_max = law.t_max()
     eps = 1e-12 * t_max
     t_star = _golden_max(rate, eps, t_max - eps, _REFINE_TOL)
-    mgf_star = mgf(t_star)
+    mgf_star = law.mgf(t_star)
     assert mgf_star < 1.0, "no feasible t despite positive mean"
     return DriftBound(
         kappa=-math.log(mgf_star) / (1.0 + t_star),

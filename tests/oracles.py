@@ -7,6 +7,8 @@ under test.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
@@ -229,8 +231,6 @@ def max_neighbourhood_bruteforce(g: Graph) -> int:
 # --- truncated series for the increment distribution ---
 
 def mgf_series(t: float, b: int, c: int, d: int, tol: float = 1e-16) -> float:
-    import math
-
     p = (d - b - c) / d
     q = (b + c) / d
     r = b / (d - b - c)
@@ -259,6 +259,70 @@ def mean_series(b: int, c: int, d: int, tol: float = 1e-15) -> float:
             return total
         j += 1
         assert j < 10_000_000, "series did not converge"
+
+
+# --- the kappa optimizer as it stood before its rate became one closure ---
+#
+# ``mgf``, ``_golden_max``, ``drift_lower_bound`` and the three-Fraction
+# ``mean`` of ``gpdrift.drift``, copied with the law's properties inlined.
+# The library must reproduce every float of these bit for bit.
+
+_REF_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_mean(b: int, c: int, d: int):
+    return Fraction(d - b - c, d) - Fraction(b + c, d) * Fraction(d - b - c, d - 2 * b - c)
+
+
+def reference_mgf(t: float, b: int, c: int, d: int) -> float:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    x = math.exp(t)
+    p, q, r = (d - b - c) / d, (b + c) / d, b / (d - b - c)
+    if r * x >= 1.0:
+        raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
+    return p / x + q * (1.0 - r) * x / (1.0 - r * x)
+
+
+def reference_t_max(b: int, c: int, d: int) -> float:
+    if b > 0:
+        return math.log((d - b - c) / b)
+    p = (d - b - c) / d
+    q = c / d
+    x_hi = (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * p * q))) / (2.0 * q)
+    return math.log(x_hi) + 1.0
+
+
+def reference_golden_max(f, lo: float, hi: float, tol: float) -> float:
+    x1 = hi - _REF_GOLDEN * (hi - lo)
+    x2 = lo + _REF_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _REF_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _REF_GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return (lo + hi) / 2.0
+
+
+def reference_drift_bound(b: int, c: int, d: int) -> tuple[float, float, float]:
+    """(kappa, t_star, mgf_at_t_star) for d > 3b + 2c."""
+    assert d > 3 * b + 2 * c
+
+    def rate(t: float) -> float:
+        m = reference_mgf(t, b, c, d)
+        return -math.inf if m >= 1.0 else -math.log(m) / (1.0 + t)
+
+    t_max = reference_t_max(b, c, d)
+    eps = 1e-12 * t_max
+    t_star = reference_golden_max(rate, eps, t_max - eps, 1e-9)
+    mgf_star = reference_mgf(t_star, b, c, d)
+    assert mgf_star < 1.0
+    return -math.log(mgf_star) / (1.0 + t_star), t_star, mgf_star
 
 
 # --- seeded generators shared by randomized tests ---

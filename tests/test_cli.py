@@ -118,13 +118,6 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 21
 
 
-def test_simulate_zero_trials_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "simulate", "--family", "cycle", "--D", "17", "--trials", "0"
-    )
-    assert code == 2 and "--trials" in err
-
-
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     args = [
         "simulate", "--family", "cycle", "--D", "17",
@@ -668,7 +661,9 @@ def test_simulate_never_builds_the_nonneighbour_table(nu, tmp_path, capsys, monk
 # Pinned bytes of the bound commands, taken before the clique statistics
 # moved to one edge pass, so a later change to them cannot alter an output
 # unseen.  The graph is a 30-cycle with chords that close four triangles,
-# two of them sharing the edge (6, 7).
+# two of them sharing the edge (6, 7).  ``sweep_widest`` (the widest search
+# windows) and ``kappa_edgeless6`` (b = 0, no pole) were pinned before the
+# rate closure in ``drift_lower_bound`` replaced its calls to ``law.mgf``.
 GOLDEN_TRIANGLES_GRAPH = {
     "vertices": [f"t{i}" for i in range(30)],
     "edges": [[i, (i + 1) % 30] for i in range(30)] + [[0, 2], [5, 7], [6, 8], [10, 12], [20, 22]],
@@ -683,11 +678,16 @@ GOLDEN_BOUND_CASES = {
     "kappa_complete6": ["kappa", "--family", "complete", "--D", "6"],
     "stats_triangles": ["stats", "--graph", "triangles.json"],
     "kappa_triangles": ["kappa", "--graph", "triangles.json"],
+    "sweep_widest": [
+        "sweep", "--from", "17", "--to", "10000000", "--points", "2000", "--output", "out.csv",
+    ],
+    "kappa_edgeless6": ["kappa", "--family", "edgeless", "--D", "6"],
 }
 GOLDEN_BOUND_SHA256 = {
     "kappa_complete6": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None),
     "kappa_cycle12000": (0, "c5bfe24159d64e5b6f7c6b1258893167f3b15cad69a0c971ded8ec71e8856802", None),
     "kappa_cycle17": (0, "625a01a7d77b6205547b62d671243f0834526e2c71999bc468c0189bdd28affe", None),
+    "kappa_edgeless6": (0, "9d52b1ff1a4db069ff95acd70884f3bd21e0e43cbac28b5a959004c7df616b5a", None),
     "kappa_triangles": (0, "ec4cf6c60b25615fa36e30e654fbd2eb891bb8f1092b21cb5a6a687f97cb0842", None),
     "stats_complete6": (0, "27db9630ad4e644cf26d2007781834686885d2946ab836ac2f71b61971cb154b", None),
     "stats_cycle12000": (0, "72caf23c16d3fd4da301d0d1477ec889566a18164ab8a718e1cde2d476184017", None),
@@ -697,6 +697,11 @@ GOLDEN_BOUND_SHA256 = {
         0,
         "fbaff0c4bc838f01c7fbae0d9871652d0faa24e8abfcb787f4e8f5a3e9bda24b",
         "17d65fdc768f7dc68a595f002aef5a6a39cd093b596f2ef2b06e5d66bd20cb9f",
+    ),
+    "sweep_widest": (
+        0,
+        "a9501eead27aeb9dc6a24995c47cd917ee1cb77d7c5037ff62a7e1471ea9eecb",
+        "0f98667664ec9c9637bca2153f539ecf9c965daefaae5500cc5180de5d7df4bb",
     ),
 }
 

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from gpdrift import drift
 from gpdrift.drift import (
     DriftBound,
     PivotIncrementDistribution,
@@ -11,7 +12,13 @@ from gpdrift.drift import (
     drift_lower_bound,
 )
 
-from oracles import mean_series, mgf_series
+from oracles import (
+    mean_series,
+    mgf_series,
+    reference_drift_bound,
+    reference_mean,
+    reference_mgf,
+)
 
 # frozen before the implementation: a 200k-point scan of the rate function
 KAPPA_100_ORACLE = 0.325162205
@@ -248,10 +255,49 @@ def _dense_grid_kappa(b, c, d, points=2000, zooms=4):
 )
 def test_kappa_is_golden_section_alone_and_matches_dense_grid(monkeypatch, b, c, d):
     calls = []
-    mgf = PivotIncrementDistribution.mgf
-    monkeypatch.setattr(
-        PivotIncrementDistribution, "mgf", lambda self, t: calls.append(t) or mgf(self, t)
-    )
+    golden_max = drift._golden_max
+
+    def counting_golden_max(f, lo, hi, tol):
+        return golden_max(lambda t: calls.append(t) or f(t), lo, hi, tol)
+
+    monkeypatch.setattr(drift, "_golden_max", counting_golden_max)
     bound = drift_lower_bound(b, c, d)
-    assert len(calls) < 100
+    assert 0 < len(calls) < 100
     assert bound.kappa == pytest.approx(_dense_grid_kappa(b, c, d), rel=1e-12)
+
+
+def _bit_identity_triples():
+    """About 6,000 (b, c, d) with small cliques: a seeded spread up to
+    d = 10^7, the b = 0 window with no pole, the edge d = 3b + 2c + 1 and
+    the widest windows, near d = 10^7."""
+    rng = Random(30)
+    triples = {(b, c, 3 * b + 2 * c + 1) for b in range(30) for c in range(1, 31)}
+    triples |= {(0, c, d) for c in range(1, 6) for d in range(2 * c + 1, 2 * c + 120)}
+    triples |= {
+        (b, c, 10**7 - k) for b in (0, 1, 4, 20, 1000) for c in (1, 2, 5) for k in range(3)
+    }
+    while len(triples) < 6000:
+        b, c = rng.randrange(0, 60), rng.randrange(1, 40)
+        low = 3 * b + 2 * c + 1
+        triples.add((b, c, low + int(math.exp(rng.uniform(0.0, math.log(10**7 - low))))))
+    return sorted(triples)
+
+
+def test_drift_bound_is_bit_identical_to_reference():
+    for b, c, d in _bit_identity_triples():
+        bound = drift_lower_bound(b, c, d)
+        got = (bound.kappa, bound.t_star, bound.mgf_at_t_star)
+        assert got == reference_drift_bound(b, c, d), (b, c, d)
+        assert bound.law.mean() == reference_mean(b, c, d), (b, c, d)
+
+
+def test_mean_and_mgf_are_bit_identical_to_reference():
+    # the whole domain d > 2b + c, where the mean is also zero or negative
+    rng = Random(31)
+    for b, c, d in random_domain_triples(rng, 400):
+        law = PivotIncrementDistribution(b, c, d)
+        exact = reference_mean(b, c, d)
+        assert law.mean() == exact and float(law.mean()) == float(exact), (b, c, d)
+        t_max = law.t_max()
+        for t in (0.0, 1e-9 * t_max, rng.uniform(0.0, t_max), t_max * (1 - 1e-9)):
+            assert law.mgf(t) == reference_mgf(t, b, c, d), (b, c, d, t)
