@@ -19,13 +19,13 @@ maximum is the reported drift bound.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._frozen import Frozen
 from .graphs import GraphStats
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,25 +55,13 @@ class PivotIncrementDistribution(Frozen):
             raise ValueError(f"need d > 2b + c (got b={b}, c={c}, d={d})")
         Frozen.__init__(self, b, c, d)
 
-    @cached_property
+    @property
     def p_up(self) -> float:
         return (self.d - self.b - self.c) / self.d
 
-    @cached_property
+    @property
     def ratio(self) -> float:
         return self.b / (self.d - self.b - self.c)
-
-    @cached_property
-    def mgf_terms(self) -> tuple[float, float, float]:
-        """``(p, qr, r)`` of the closed form ``p/x + qr*x/(1 - r*x)``, x = e^t.
-
-        ``qr`` is ``(b+c)/d * (1 - r)``, the float that the written-out
-        ``q * (1 - r) * x`` computes before it multiplies by x.  ``mgf`` and
-        the rate in ``drift_lower_bound`` both read these, so the two
-        evaluate the same floats.
-        """
-        r = self.ratio
-        return self.p_up, (self.b + self.c) / self.d * (1.0 - r), r
 
     def tail(self, j: int) -> float:
         """P(U <= -j) for j >= 1."""
@@ -104,14 +92,30 @@ class PivotIncrementDistribution(Frozen):
 
     def mgf(self, t: float) -> float:
         """E[exp(-t U)] in closed form, from summing the geometric tail."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        x = math.exp(t)
-        p, qr, r = self.mgf_terms
-        rx = r * x
-        if rx >= 1.0:
-            raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
-        return p / x + qr * x / (1.0 - rx)
+        return self.mgf_function()(t)
+
+    def mgf_function(self) -> Callable[[float], float]:
+        """``mgf`` as a function of t alone, with the law's constants bound.
+
+        It evaluates p/x + q(1-r)x / (1 - rx) at x = e^t, and raises
+        ``ValueError`` for t < 0 and at or beyond the pole.  ``mgf`` calls
+        it, and ``drift_lower_bound`` searches through it, so each step of
+        the search costs one call and its arithmetic.
+        """
+        p, r = self.p_up, self.ratio
+        qr = (self.b + self.c) / self.d * (1.0 - r)  # so qr * x rounds as q * (1 - r) * x does
+        exp = math.exp
+
+        def mgf(t: float) -> float:
+            if t < 0:
+                raise ValueError("t must be nonnegative")
+            x = exp(t)
+            rx = r * x
+            if rx >= 1.0:
+                raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
+            return p / x + qr * x / (1.0 - rx)
+
+        return mgf
 
     def t_max(self) -> float:
         """Right end of the search window for the rate function.
@@ -174,35 +178,28 @@ def drift_lower_bound(b: int, c: int, d: int) -> DriftBound:
     interval.  The rate reads -inf where h <= 0, which keeps this, as that
     set is an interval reaching the window's right end.
 
-    The rate inlines ``law.mgf``: it reads the same ``mgf_terms``, makes the
-    same float operations in the same order and raises the same errors, so
-    the search visits the same points and returns the same floats.  It must
-    stay so; ``test_drift_bound_is_bit_identical_to_reference`` compares
-    kappa, t_star and the moment with ``==`` against a copy of the
-    optimizer that calls ``mgf`` itself.
+    The rate evaluates the moment through ``law.mgf_function()``, the one
+    closed form that ``mgf`` also calls.
+    ``test_drift_bound_is_bit_identical_to_reference`` compares kappa,
+    t_star and the moment with ``==`` against a copy of the optimizer as it
+    was before the closure, when every step went through ``mgf``.
     """
     if not GraphStats(d, c, b).small_cliques:
         raise SmallCliquesError(
             f"small-cliques condition fails: D={d} is not greater than 3B+2C={3 * b + 2 * c}"
         )
     law = PivotIncrementDistribution(b, c, d)
-    p, qr, r = law.mgf_terms
-    exp, log = math.exp, math.log
+    mgf = law.mgf_function()
+    log = math.log
 
     def rate(t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        x = exp(t)
-        rx = r * x
-        if rx >= 1.0:
-            raise ValueError(f"t={t} is at or beyond the series pole ln((d-b-c)/b)")
-        m = p / x + qr * x / (1.0 - rx)
+        m = mgf(t)
         return -math.inf if m >= 1.0 else -log(m) / (1.0 + t)
 
     t_max = law.t_max()
     eps = 1e-12 * t_max
     t_star = _golden_max(rate, eps, t_max - eps, _REFINE_TOL)
-    mgf_star = law.mgf(t_star)
+    mgf_star = mgf(t_star)
     assert mgf_star < 1.0, "no feasible t despite positive mean"
     return DriftBound(
         kappa=-math.log(mgf_star) / (1.0 + t_star),

@@ -261,7 +261,7 @@ def mean_series(b: int, c: int, d: int, tol: float = 1e-15) -> float:
         assert j < 10_000_000, "series did not converge"
 
 
-# --- the kappa optimizer as it stood before its rate became one closure ---
+# --- the kappa optimizer as it stood before it searched through mgf_function ---
 #
 # ``mgf``, ``_golden_max``, ``drift_lower_bound`` and the three-Fraction
 # ``mean`` of ``gpdrift.drift``, copied with the law's properties inlined.

@@ -662,8 +662,8 @@ def test_simulate_never_builds_the_nonneighbour_table(nu, tmp_path, capsys, monk
 # moved to one edge pass, so a later change to them cannot alter an output
 # unseen.  The graph is a 30-cycle with chords that close four triangles,
 # two of them sharing the edge (6, 7).  ``sweep_widest`` (the widest search
-# windows) and ``kappa_edgeless6`` (b = 0, no pole) were pinned before the
-# rate closure in ``drift_lower_bound`` replaced its calls to ``law.mgf``.
+# windows) and ``kappa_edgeless6`` (b = 0, no pole) were pinned before
+# ``drift_lower_bound`` searched through ``law.mgf_function()``.
 GOLDEN_TRIANGLES_GRAPH = {
     "vertices": [f"t{i}" for i in range(30)],
     "edges": [[i, (i + 1) % 30] for i in range(30)] + [[0, 2], [5, 7], [6, 8], [10, 12], [20, 22]],
