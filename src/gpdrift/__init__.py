@@ -63,7 +63,6 @@ from .walk import (
     WordChoice,
     pivot_replace,
     run_walk,
-    sample_mu,
     strong_choice_vertices,
     walk_record,
 )

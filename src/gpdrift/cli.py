@@ -9,8 +9,9 @@ byte-deterministic given the flags: the default seed is the fixed constant
 DEFAULT_SEED, floats print with 12 significant digits, and the worker count
 (GPDRIFT_WORKERS) never changes results.
 
-Exit codes: 0 ok, 2 bad input or flags or out of memory, 3 the
-small-cliques condition fails where a bound is required, 4 a check failed.
+Exit codes: 0 ok, 2 bad input or flags, out of memory or a worker lost
+without a result, 3 the small-cliques condition fails where a bound is
+required, 4 a check failed.
 Exit 3 has one source, ``drift_lower_bound``'s ``SmallCliquesError``, whose
 line :func:`main` prints.
 
@@ -24,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from .drift import SmallCliquesError, drift_lower_bound
 from .experiments import (
@@ -74,13 +76,21 @@ def _round12(x: float) -> float:
 
 def _read_graph_file(args) -> Graph | None:
     """The ``--graph`` file's graph, or None when ``--family`` and ``--D``
-    name the graph instead.  Refuses flags that name two sources, or none."""
+    name the graph instead.  Refuses flags that name two sources, or none.
+    Each warning the parse raises (a duplicate edge) prints as one
+    ``warning:`` line on stderr."""
     if args.graph is not None:
         for flag, value in (("--family", args.family), ("--D", args.D)):
             if value is not None:
                 raise ValueError(f"--graph and {flag} name two graph sources; give one")
         with open(args.graph, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+            text = fh.read()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            graph = parse_graph(text)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        return graph
     if args.family is not None:
         if args.D is None:
             raise ValueError("--family needs --D")

@@ -189,7 +189,7 @@ def _fan_out(batch: TrialBatch, workers: int) -> list[TrialMetrics]:
             _, status = os.waitpid(pid, 0)
             pending.pop(0)
             if not data:
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"worker for trials [{cuts[i]}, {cuts[i + 1]}) ended with exit code "
                     f"{os.waitstatus_to_exitcode(status)} and no result"
                 )
@@ -401,33 +401,28 @@ def _fmt(x) -> str:
         return "nan"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return f"{x:.12g}"
 
 
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line per row, each cell through :func:`_fmt`."""
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 def trials_csv_text(metrics: Sequence[TrialMetrics]) -> str:
-    lines = ["trial,syllables,A_n"]
-    for m in metrics:
-        lines.append(f"{m.trial},{m.syllables},{m.pivotal_count}")
-    return "\n".join(lines) + "\n"
+    rows = ((m.trial, m.syllables, m.pivotal_count) for m in metrics)
+    return _csv_text("trial,syllables,A_n", rows)
 
 
 def checks_csv_text(reports: Sequence[CheckReport]) -> str:
-    lines = ["check,statistic,threshold,pass"]
-    for r in reports:
-        lines.append(f"{r.name},{_fmt(r.statistic)},{_fmt(r.threshold)},{_fmt(r.passed)}")
-    return "\n".join(lines) + "\n"
+    rows = ((r.name, r.statistic, r.threshold, r.passed) for r in reports)
+    return _csv_text("check,statistic,threshold,pass", rows)
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    lines = ["D,B,C,kappa,t_star,mean_U,mgf"]
-    for r in rows:
-        lines.append(
-            f"{r.d},{r.b},{r.c},{_fmt(r.kappa)},{_fmt(r.t_star)},"
-            f"{_fmt(r.mean_increment)},{_fmt(r.mgf)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text("D,B,C,kappa,t_star,mean_U,mgf", rows)
 
 
 def write_text(path: str, text: str) -> None:

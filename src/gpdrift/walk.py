@@ -68,19 +68,6 @@ MuLetter = tuple[int, object]  # (vertex, nontrivial element)
 _MIN_ALPHA = 0.01
 
 
-def sample_mu(graph: Graph, groups: Sequence[VertexGroup], rng: Random) -> MuLetter:
-    """Uniform vertex, then that group's nontrivial-element sampler."""
-    d = graph.vertex_count
-    k = d.bit_length()
-    if not k:
-        raise ValueError("graph needs at least one vertex")
-    # rng.randrange(d)
-    vertex = rng.getrandbits(k)
-    while vertex >= d:
-        vertex = rng.getrandbits(k)
-    return vertex, groups[vertex].sample_nontrivial(rng)
-
-
 class FixedWord:
     """Nu sampler that always returns the same word."""
 

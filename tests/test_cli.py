@@ -528,6 +528,42 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_worker_lost_without_a_result_exits_2(command, tmp_path, capsys, monkeypatch):
+    # a block that ends with no result (an OOM kill, an exception that does
+    # not pickle) is one error line, and the output file stays empty
+    from gpdrift import experiments
+
+    parent, record = os.getpid(), experiments.walk_record
+
+    def dies_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return record(*args)
+
+    monkeypatch.setattr(experiments, "walk_record", dies_in_child)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("GPDRIFT_WORKERS", "2")
+    output = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, command, "--family", "cycle", "--D", "17", "--n", "5", "--trials", "10",
+        "--output", str(output),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: worker for trials [5, 10) ended with exit code 3 and no result\n"
+    assert "Traceback" not in err
+    assert output.read_bytes() == b""
+    with pytest.raises(ChildProcessError):  # the lost worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_duplicate_edge_prints_one_warning_line(tmp_path, capsys):
+    (tmp_path / "dup.txt").write_text("0 1\n1 0\n1 2\n")
+    code, out, err = run_cli(capsys, "stats", "--graph", str(tmp_path / "dup.txt"))
+    assert (code, out) == (0, '{"D": 3, "C": 2, "B": 3, "small_cliques": false}\n')
+    assert err == "warning: duplicate edge (0, 1) ignored\n"
+
+
 def test_bare_label_is_the_first_power(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runs = []

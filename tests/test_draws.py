@@ -1,7 +1,9 @@
 """The built-in samplers draw straight from ``rng.getrandbits``, with the
 loop CPython's ``randrange``/``choice`` run inside.  Each inlined site must
 return what the stdlib call returns on a twin generator and leave the
-generator in the same state."""
+generator in the same state.  The walk loop ``walk._sample`` is the one
+draw of mu's letter: its vertex and value are checked on walks whose nu
+draws nothing."""
 
 import random
 from random import Random
@@ -10,8 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from gpdrift.graphs import edgeless_graph
-from gpdrift.groups import CyclicGroup, IntegerGroup, VertexGroup
-from gpdrift.walk import FixedWord, ParetoLetter, WordChoice, sample_mu, walk_record
+from gpdrift.groups import CyclicGroup, IntegerGroup, VertexGroup, uniform_groups
+from gpdrift.walk import FixedWord, ParetoLetter, WordChoice, run_walk, walk_record
 
 SEEDS = (0, 1, 7, 2024)
 SIZES = (*range(1, 301), 2**31 - 1, 2**31 + 1, 10**6, 2**64 + 1)
@@ -36,7 +38,7 @@ def test_stdlib_draws_below_n_with_getrandbits():
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
         "random.Random no longer draws randrange/choice through "
         "_randbelow_with_getrandbits; the inlined getrandbits loops in "
-        "walk.sample_mu, walk._sample (the letter vertex of both walks), "
+        "walk._sample (the letter vertex of both walks), "
         "WordChoice.sample, ParetoLetter.sample (the vertex), "
         "IntegerGroup.sample_nontrivial and CyclicGroup.sample_nontrivial "
         "must be rewritten to match it"
@@ -44,15 +46,12 @@ def test_stdlib_draws_below_n_with_getrandbits():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sample_mu_draws_like_randrange_and_choice(seed):
-    rng, twin = _twins(seed)
-    groups = _EveryVertex(IntegerGroup())
-    for n in SIZES:
-        graph = SimpleNamespace(vertex_count=n)
-        for _ in range(DRAWS):
-            expected = (twin.randrange(n), twin.choice((1, -1)))
-            assert sample_mu(graph, groups, rng) == expected
-    assert rng.getstate() == twin.getstate()
+@pytest.mark.parametrize("d", [1, 2, 50, 2000])
+def test_walk_letters_draw_like_randrange_and_choice(seed, d):
+    # a fixed word draws nothing, so the walk's draws are its letters'
+    trace = run_walk(edgeless_graph(d), uniform_groups(d), FixedWord(((0, 1),)), 200, seed)
+    twin = Random(seed)
+    assert trace.s_letters == [(twin.randrange(d), twin.choice((1, -1))) for _ in range(200)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -139,8 +138,6 @@ def test_no_vertex_to_draw_raises_instead_of_looping():
     # getrandbits(0) is always 0, so the loop below an empty range would
     # never end; randrange(0) raised, and so do the inlined sites
     empty = SimpleNamespace(vertex_count=0, neighbors=())
-    with pytest.raises(ValueError, match="at least one vertex"):
-        sample_mu(empty, (), Random(0))
     with pytest.raises(ValueError, match="at least one vertex"):
         ParetoLetter(1.1).sample(Random(0), empty, ())
     with pytest.raises(ValueError, match="at least one vertex"):

@@ -306,7 +306,7 @@ class ChildExits:
 def test_child_without_result_is_an_error(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("GPDRIFT_WORKERS", "2")
-    with pytest.raises(RuntimeError, match=r"trials \[5, 10\) ended with exit code 3 and no result"):
+    with pytest.raises(ChildProcessError, match=r"trials \[5, 10\) ended with exit code 3 and no result"):
         run_batch(batch17(steps=5, trials=10, nu=ChildExits(os.getpid())))
     _assert_no_child_left()
 

@@ -31,7 +31,6 @@ from gpdrift.walk import (
     fold,
     pivot_replace,
     run_walk,
-    sample_mu,
     strong_choice_vertices,
     walk_record,
 )
@@ -47,29 +46,6 @@ def small_walk(steps=20, seed=1, graph=None, groups=None, nu=None):
     groups = groups or uniform_groups(graph.vertex_count)
     nu = nu or FixedWord(((0, 1),))
     return run_walk(graph, groups, nu, steps, seed)
-
-
-def test_sample_mu_uniform_vertices():
-    graph = cycle_graph(5)
-    groups = uniform_groups(5)
-    rng = Random(42)
-    n = 100_000
-    counts = [0] * 5
-    for _ in range(n):
-        v, g = sample_mu(graph, groups, rng)
-        counts[v] += 1
-        assert not groups[v].is_identity(g)
-    p = 1 / 5
-    sigma = math.sqrt(p * (1 - p) * n)
-    for c in counts:
-        assert abs(c - n * p) <= 4 * sigma
-
-
-def test_sample_mu_single_vertex():
-    graph = edgeless_graph(1)
-    groups = uniform_groups(1)
-    rng = Random(0)
-    assert all(sample_mu(graph, groups, rng)[0] == 0 for _ in range(20))
 
 
 def test_zero_step_walk():
@@ -149,7 +125,7 @@ def test_local_geodesic_growth():
         groups = uniform_groups(graph.vertex_count)
         prefix = random_word(graph, groups, 8, rng)
         f_prev = piling_of_word(prefix, graph, groups)
-        s = sample_mu(graph, groups, rng)
+        s = random_word(graph, groups, 1, rng)[0]
         w = tuple(random_word(graph, groups, rng.randrange(1, 4), rng))
         if piling_of_word(w, graph, groups).syllables == 0:
             continue
@@ -352,7 +328,7 @@ def test_strong_choice_implies_local_geodesic():
         groups = uniform_groups(d)
         prefix = random_word(graph, groups, 6, rng)
         f_prev = piling_of_word(prefix, graph, groups)
-        s = sample_mu(graph, groups, rng)
+        s = random_word(graph, groups, 1, rng)[0]
         w = tuple(random_word(graph, groups, rng.randrange(1, 3), rng))
         if piling_of_word(w, graph, groups).syllables == 0:
             continue
@@ -393,7 +369,7 @@ def test_strong_choice_always_gains():
         groups = tuple(rng.choice(RECORD_GROUPS) for _ in range(d))
         trace = WalkTrace(graph, groups)
         for _ in range(rng.randrange(1, 15)):
-            s = sample_mu(graph, groups, rng)
+            s = random_word(graph, groups, 1, rng)[0]
             w = tuple(random_word(graph, groups, rng.randrange(1, 4), rng))
             if not fold(w, graph, groups).live:
                 continue  # an identity word is no step
